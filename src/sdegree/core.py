@@ -110,6 +110,20 @@ class SignedBipartiteGraph:
             labels[(part, idx)] = tag
         self.block_labels = labels
 
+    @classmethod
+    def _trusted(
+        cls,
+        p: int,
+        q: int,
+        edges: dict[tuple[int, int], Sign],
+        block_labels: dict[tuple[str, int], str],
+    ) -> "SignedBipartiteGraph":
+        """Wrap parts and dicts that are valid by construction, skipping
+        ``__post_init__``; the dicts are taken over, not copied."""
+        g = object.__new__(cls)
+        g.p, g.q, g.edges, g.block_labels = p, q, edges, block_labels
+        return g
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SignedBipartiteGraph):
             return NotImplemented
@@ -120,9 +134,14 @@ def degree_vectors(g: SignedBipartiteGraph) -> tuple[list[int], list[int]]:
     """Signed degree of every U vertex and every V vertex, by index."""
     du = [0] * g.p
     dv = [0] * g.q
+    pos = Sign.POSITIVE
     for (u, v), sign in g.edges.items():
-        du[u] += sign.value
-        dv[v] += sign.value
+        if sign is pos:
+            du[u] += 1
+            dv[v] += 1
+        else:
+            du[u] -= 1
+            dv[v] -= 1
     return du, dv
 
 
@@ -152,9 +171,11 @@ def signed_degree_set(g: SignedGraph | SignedBipartiteGraph) -> frozenset[int]:
         if g.n == 0:
             raise ValueError("degree set of an empty graph is undefined")
         deg = [0] * g.n
+        pos = Sign.POSITIVE
         for (a, b), sign in g.edges.items():
-            deg[a] += sign.value
-            deg[b] += sign.value
+            step = 1 if sign is pos else -1
+            deg[a] += step
+            deg[b] += step
         return frozenset(deg)
     if isinstance(g, SignedBipartiteGraph):
         if g.p + g.q == 0:
@@ -228,10 +249,15 @@ def join_all_positive(
 
 
 def flip_signs(g: SignedGraph | SignedBipartiteGraph):
-    """Same graph with every edge sign inverted; every signed degree negates."""
+    """Same graph with every edge sign inverted; every signed degree negates.
+
+    Flipping keeps a valid bipartite graph valid, so that result skips
+    validation.
+    """
     if not isinstance(g, (SignedGraph, SignedBipartiteGraph)):
         raise TypeError(f"not a signed graph: {g!r}")
-    flipped = {pair: sign.flipped for pair, sign in g.edges.items()}
+    pos, neg = Sign.POSITIVE, Sign.NEGATIVE
+    flipped = {pair: neg if sign is pos else pos for pair, sign in g.edges.items()}
     if isinstance(g, SignedGraph):
         return SignedGraph(g.n, flipped)
-    return SignedBipartiteGraph(g.p, g.q, flipped, dict(g.block_labels))
+    return SignedBipartiteGraph._trusted(g.p, g.q, flipped, dict(g.block_labels))

@@ -1,20 +1,29 @@
 """Constructions that realize a prescribed signed degree set as a connected
 signed bipartite graph.
 
-Positive sets use an all-positive block construction; negative sets mirror
-it with every sign flipped; {0} is a 2x2 square with alternating signs.
-Every other mixture is glued from those pieces with degree-neutral edges:
-each touched vertex gains one positive and one negative edge, so existing
-signed degrees never move.
+Positive sets use an all-positive block construction; sets with no positive
+element but a negative one are the sign mirror of the non-negative case, with
+every edge sign flipped; {0} is a 2x2 square with alternating signs.  Every
+other mixture is glued from those pieces with degree-neutral edges: each
+touched vertex gains one positive and one negative edge, so existing signed
+degrees never move.
+
+``realize_set`` builds its graph in one pass, in time linear in the edge
+count: every block join goes straight into one edge dict, and the internal
+pieces skip validation.  The result is validated once, and its degree set and
+connectivity are checked once, at the public boundary.  The public helpers
+(``attach_zero_gadget`` and the bridges) keep their own input checks when
+called directly.  ``core.join_all_positive`` stays a public helper; the
+construction no longer calls it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain, product
 
-from .core import (
+from .core import (  # noqa: F401 -- join_all_positive stays bound here for perfbench/tracing.py
     Sign,
     SignedBipartiteGraph,
     flip_signs,
@@ -48,6 +57,9 @@ class RealizationReport:
 
 _GADGET_BLOCKS = [("x_1", 1), ("x_2", 1), ("y_1", 1), ("y_2", 1)]
 
+# case of a non-negative set -> case of its sign mirror
+_MIRRORED_CASES = {"positive": "negative", "nonneg_with_zero": "nonpos_with_zero"}
+
 
 def _validated_set(
     s: Iterable[int], *, lo: int | None = None, hi: int | None = None, kind: str = "degree"
@@ -66,8 +78,44 @@ def _tagged(tag: str, sizes: list[tuple[str, int]]) -> list[tuple[str, int]]:
     return [(f"{tag}.{name}", size) for name, size in sizes]
 
 
-def _copy(g: SignedBipartiteGraph) -> SignedBipartiteGraph:
-    return dataclasses.replace(g)
+def _positive_blocks(
+    targets: list[int],
+) -> tuple[SignedBipartiteGraph, list[tuple[str, int]]]:
+    """The block graph of ``realize_positive_set`` for ascending targets,
+    unvalidated, with its block sizes.  Both parts share one layout (X_1,
+    X_2, X_2', X_3, ... and Y_1, Y_2, Y_2', Y_3, ...), so Y_i' directly
+    follows Y_i and X_i' joins one contiguous range."""
+    labels: dict[tuple[str, int], str] = {}
+    block_sizes: list[tuple[str, int]] = []
+    joins = []
+    y_blocks: list[range] = []  # Y_1 .. Y_i
+    start = prev = 0
+    for i, target in enumerate(targets, start=1):
+        block = range(start, start + target - prev)
+        primed = range(block.stop, start + target)
+        named = [(f"_{i}", block)] + ([(f"_{i}'", primed)] if i > 1 else [])
+        for part, letter in (("u", "X"), ("v", "Y")):
+            for suffix, members in named:
+                name = letter + suffix
+                block_sizes.append((name, len(members)))
+                labels.update(dict.fromkeys(((part, j) for j in members), name))
+        y_blocks.append(block)
+        joins.extend(product(block, ys) for ys in y_blocks)
+        joins.append(product(primed, range(start, start + target)))  # Y_i and Y_i'
+        start += target
+        prev = target
+    edges = dict.fromkeys(chain.from_iterable(joins), Sign.POSITIVE)
+    return SignedBipartiteGraph._trusted(start, start, edges, labels), block_sizes
+
+
+def _zero_square() -> SignedBipartiteGraph:
+    edges = {
+        (0, 0): Sign.POSITIVE,
+        (1, 1): Sign.POSITIVE,
+        (0, 1): Sign.NEGATIVE,
+        (1, 0): Sign.NEGATIVE,
+    }
+    return SignedBipartiteGraph._trusted(2, 2, edges, {})
 
 
 def realize_positive_set(s: Iterable[int]) -> RealizationReport:
@@ -79,65 +127,19 @@ def realize_positive_set(s: Iterable[int]) -> RealizationReport:
     degree s_i, every y in Y_i on s_n, every y in Y_i' on s_(i-1), and each
     part ends up with sum(s) vertices.
     """
-    elems = _validated_set(s, lo=1, kind="positive")
-    targets = sorted(elems)
-    n = len(targets)
-    sizes = [targets[0]] + [targets[i] - targets[i - 1] for i in range(1, n)]
-    prefixes = [0] * (n + 1)
-    for i, d in enumerate(sizes):
-        prefixes[i + 1] = prefixes[i] + d  # prefixes[i] == targets[i-1]
-
-    u_blocks: dict[str, range] = {}
-    v_blocks: dict[str, range] = {}
-    labels: dict[tuple[str, int], str] = {}
-    block_sizes: list[tuple[str, int]] = []
-
-    def place(part: str, blocks: dict[str, range], name: str, size: int, start: int) -> int:
-        blocks[name] = range(start, start + size)
-        for i in range(start, start + size):
-            labels[(part, i)] = name
-        block_sizes.append((name, size))
-        return start + size
-
-    cu = place("u", u_blocks, "X_1", sizes[0], 0)
-    cv = place("v", v_blocks, "Y_1", sizes[0], 0)
-    for i in range(2, n + 1):
-        cu = place("u", u_blocks, f"X_{i}", sizes[i - 1], cu)
-        cu = place("u", u_blocks, f"X_{i}'", prefixes[i - 1], cu)
-        cv = place("v", v_blocks, f"Y_{i}", sizes[i - 1], cv)
-        cv = place("v", v_blocks, f"Y_{i}'", prefixes[i - 1], cv)
-
-    g = SignedBipartiteGraph(cu, cv, {}, labels)
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            g = join_all_positive(g, u_blocks[f"X_{i}"], v_blocks[f"Y_{j}"])
-    for i in range(2, n + 1):
-        g = join_all_positive(g, u_blocks[f"X_{i}'"], v_blocks[f"Y_{i}"])
-        g = join_all_positive(g, u_blocks[f"X_{i}'"], v_blocks[f"Y_{i}'"])
-
-    assert signed_degree_set(g) == elems and is_connected(g)
-    return RealizationReport(g, "positive", block_sizes)
+    return realize_set(_validated_set(s, lo=1, kind="positive"))
 
 
 def realize_negative_set(s: Iterable[int]) -> RealizationReport:
     """Mirror construction: realize the negated set all-positive, then flip
     every edge sign, which negates every signed degree."""
-    elems = _validated_set(s, hi=-1, kind="negative")
-    mirrored = realize_positive_set({-x for x in elems})
-    return RealizationReport(flip_signs(mirrored.graph), "negative", mirrored.block_sizes)
+    return realize_set(_validated_set(s, hi=-1, kind="negative"))
 
 
 def realize_zero_set() -> RealizationReport:
     """The 2x2 square whose four vertices all have signed degree zero: one
     positive and one negative edge at every vertex."""
-    edges = {
-        (0, 0): Sign.POSITIVE,
-        (1, 1): Sign.POSITIVE,
-        (0, 1): Sign.NEGATIVE,
-        (1, 0): Sign.NEGATIVE,
-    }
-    g = SignedBipartiteGraph(2, 2, edges)
-    return RealizationReport(g, "zero_only", [("U", 2), ("V", 2)])
+    return realize_set({0})
 
 
 def attach_zero_gadget(g: SignedBipartiteGraph, u1: int, v1: int) -> SignedBipartiteGraph:
@@ -152,6 +154,10 @@ def attach_zero_gadget(g: SignedBipartiteGraph, u1: int, v1: int) -> SignedBipar
         raise ValueError(f"anchor ({u1}, {v1}) out of range for p={g.p}, q={g.q}")
     if not is_connected(g):
         raise ValueError("base graph must be connected")
+    return _attach_zero_gadget(g, u1, v1)
+
+
+def _attach_zero_gadget(g: SignedBipartiteGraph, u1: int, v1: int) -> SignedBipartiteGraph:
     x1, x2 = g.p, g.p + 1
     y1, y2 = g.q, g.q + 1
     edges = dict(g.edges)
@@ -166,14 +172,15 @@ def attach_zero_gadget(g: SignedBipartiteGraph, u1: int, v1: int) -> SignedBipar
     labels[("u", x2)] = "x_2"
     labels[("v", y1)] = "y_1"
     labels[("v", y2)] = "y_2"
-    return SignedBipartiteGraph(g.p + 2, g.q + 2, edges, labels)
+    return SignedBipartiteGraph._trusted(g.p + 2, g.q + 2, edges, labels)
 
 
 def _concat(
     *graphs: SignedBipartiteGraph,
 ) -> tuple[SignedBipartiteGraph, list[int], list[int]]:
     """Disjoint union; parts are concatenated in argument order.  Returns the
-    union plus the U and V index offsets of every piece."""
+    union plus the U and V index offsets of every piece.  The union is a
+    fresh graph, so callers may extend its dicts in place."""
     edges: dict[tuple[int, int], Sign] = {}
     labels: dict[tuple[str, int], str] = {}
     u_offsets: list[int] = []
@@ -188,7 +195,7 @@ def _concat(
             labels[(part, idx + (p if part == "u" else q))] = tag
         p += g.p
         q += g.q
-    return SignedBipartiteGraph(p, q, edges, labels), u_offsets, v_offsets
+    return SignedBipartiteGraph._trusted(p, q, edges, labels), u_offsets, v_offsets
 
 
 def bridge_mixed(
@@ -203,7 +210,8 @@ def bridge_mixed(
     The bridge runs between the first u-vertex of g1 and of g1_copy and the
     first v-vertex of g2 and of g2_copy: positive u1-v2', u1'-v2 and negative
     u1-v2, u1'-v2'.  Every bridge endpoint gains one edge of each sign.
-    Each copy must mirror its original (part sizes and degree sequences).
+    Each copy must mirror its original (part sizes and degree sequences);
+    graphs are values, so a piece may be passed as its own copy.
     """
     pieces = (g1, g1_copy, g2, g2_copy)
     for g in pieces:
@@ -214,15 +222,19 @@ def bridge_mixed(
             original
         ) != signed_degree_sequences(copy):
             raise ValueError("each copy must mirror its original (part sizes and degrees)")
+    return _bridge_mixed(*pieces)
+
+
+def _bridge_mixed(*pieces: SignedBipartiteGraph) -> SignedBipartiteGraph:
     merged, u_off, v_off = _concat(*pieces)
     u1, u1c = u_off[0], u_off[1]
     v2, v2c = v_off[2], v_off[3]
-    edges = dict(merged.edges)
+    edges = merged.edges
     edges[(u1, v2c)] = Sign.POSITIVE
     edges[(u1c, v2)] = Sign.POSITIVE
     edges[(u1, v2)] = Sign.NEGATIVE
     edges[(u1c, v2c)] = Sign.NEGATIVE
-    return SignedBipartiteGraph(merged.p, merged.q, edges, merged.block_labels)
+    return merged
 
 
 def bridge_mixed_zero(
@@ -240,71 +252,66 @@ def bridge_mixed_zero(
             raise ValueError("both parts of each piece must be nonempty")
         if not is_connected(g):
             raise ValueError("both pieces must be connected")
+    return _bridge_mixed_zero(g1, g2)
+
+
+def _bridge_mixed_zero(g1: SignedBipartiteGraph, g2: SignedBipartiteGraph) -> SignedBipartiteGraph:
     merged, u_off, v_off = _concat(g1, g2)
     x, y = merged.p, merged.q
     u1, v1 = u_off[0], v_off[0]
     u2, v2 = u_off[1], v_off[1]
-    edges = dict(merged.edges)
+    edges = merged.edges
     edges[(u1, v2)] = Sign.POSITIVE
     edges[(u2, y)] = Sign.POSITIVE
     edges[(x, v1)] = Sign.POSITIVE
     edges[(u1, y)] = Sign.NEGATIVE
     edges[(u2, v1)] = Sign.NEGATIVE
     edges[(x, v2)] = Sign.NEGATIVE
-    labels = dict(merged.block_labels)
-    labels[("u", x)] = "x"
-    labels[("v", y)] = "y"
-    return SignedBipartiteGraph(merged.p + 1, merged.q + 1, edges, labels)
+    merged.block_labels[("u", x)] = "x"
+    merged.block_labels[("v", y)] = "y"
+    return SignedBipartiteGraph._trusted(x + 1, y + 1, edges, merged.block_labels)
+
+
+def _build(
+    elems: frozenset[int],
+) -> tuple[SignedBipartiteGraph, str, list[tuple[str, int]]]:
+    """Unvalidated construction for a nonempty set: graph, case, blocks."""
+    positives = sorted(x for x in elems if x > 0)
+    negatives = frozenset(x for x in elems if x < 0)
+    if not positives and negatives:
+        # sign mirror of the non-negative construction, gadget included
+        graph, case, block_sizes = _build(frozenset(-x for x in elems))
+        return flip_signs(graph), _MIRRORED_CASES[case], block_sizes
+    if not positives:
+        return _zero_square(), "zero_only", [("U", 2), ("V", 2)]
+    g1, blocks1 = _positive_blocks(positives)
+    if not negatives:
+        if 0 not in elems:
+            return g1, "positive", blocks1
+        return _attach_zero_gadget(g1, 0, 0), "nonneg_with_zero", blocks1 + _GADGET_BLOCKS
+    g2, _, blocks2 = _build(negatives)
+    if 0 not in elems:
+        block_sizes = (
+            _tagged("G1", blocks1)
+            + _tagged("G1'", blocks1)
+            + _tagged("G2", blocks2)
+            + _tagged("G2'", blocks2)
+        )
+        return _bridge_mixed(g1, g1, g2, g2), "mixed_nonzero", block_sizes
+    block_sizes = _tagged("G1", blocks1) + _tagged("G2", blocks2) + [("x", 1), ("y", 1)]
+    return _bridge_mixed_zero(g1, g2), "mixed_with_zero", block_sizes
 
 
 def realize_set(s: Iterable[int]) -> RealizationReport:
     """Build a connected signed bipartite graph whose set of distinct signed
-    degrees is exactly s, dispatching on the sign pattern of s."""
+    degrees is exactly s, dispatching on the sign pattern of s.
+
+    The graph is validated once and its degree set and connectivity are
+    checked once; a miss raises AssertionError, also under ``python -O``.
+    """
     elems = _validated_set(s)
-    positives = frozenset(x for x in elems if x > 0)
-    negatives = frozenset(x for x in elems if x < 0)
-    has_zero = 0 in elems
-
-    if positives and not negatives and not has_zero:
-        report = realize_positive_set(positives)
-    elif negatives and not positives and not has_zero:
-        report = realize_negative_set(negatives)
-    elif has_zero and not positives and not negatives:
-        report = realize_zero_set()
-    elif positives and has_zero and not negatives:
-        base = realize_positive_set(positives)
-        graph = attach_zero_gadget(base.graph, 0, 0)
-        report = RealizationReport(graph, "nonneg_with_zero", base.block_sizes + _GADGET_BLOCKS)
-    elif negatives and has_zero and not positives:
-        # full sign mirror of the non-negative case, gadget included
-        mirrored = realize_positive_set({-x for x in negatives})
-        graph = flip_signs(attach_zero_gadget(mirrored.graph, 0, 0))
-        report = RealizationReport(
-            graph, "nonpos_with_zero", mirrored.block_sizes + _GADGET_BLOCKS
-        )
-    elif not has_zero:
-        rep1 = realize_positive_set(positives)
-        rep2 = realize_negative_set(negatives)
-        graph = bridge_mixed(rep1.graph, _copy(rep1.graph), rep2.graph, _copy(rep2.graph))
-        report = RealizationReport(
-            graph,
-            "mixed_nonzero",
-            _tagged("G1", rep1.block_sizes)
-            + _tagged("G1'", rep1.block_sizes)
-            + _tagged("G2", rep2.block_sizes)
-            + _tagged("G2'", rep2.block_sizes),
-        )
-    else:
-        rep1 = realize_positive_set(positives)
-        rep2 = realize_negative_set(negatives)
-        graph = bridge_mixed_zero(rep1.graph, rep2.graph)
-        report = RealizationReport(
-            graph,
-            "mixed_with_zero",
-            _tagged("G1", rep1.block_sizes) + _tagged("G2", rep2.block_sizes)
-            + [("x", 1), ("y", 1)],
-        )
-
-    assert signed_degree_set(report.graph) == elems
-    assert is_connected(report.graph)
-    return report
+    piece, case, block_sizes = _build(elems)
+    graph = SignedBipartiteGraph(piece.p, piece.q, piece.edges, piece.block_labels)
+    if signed_degree_set(graph) != elems or not is_connected(graph):
+        raise AssertionError(f"construction for {sorted(elems)} missed its target")
+    return RealizationReport(graph, case, block_sizes)

@@ -71,7 +71,8 @@ def normalize_standard(seq: Iterable[int]) -> NormalForm:
     if top >= n:
         return NotStandard(f"an entry has magnitude {top}, not below the length {n}")
     # orientation guarantees a positive, magnitude-dominant head
-    assert vals[0] > 0 and vals[0] >= -vals[-1]
+    if not (vals[0] > 0 and vals[0] >= -vals[-1]):
+        raise AssertionError(f"orientation left a non-dominant head in {vals}")
     return Standard(tuple(vals), negated)
 
 

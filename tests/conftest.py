@@ -1,6 +1,7 @@
 """Shared test helpers: brute-force censuses and graph strategies."""
 
 import itertools
+import random
 from functools import lru_cache
 
 from hypothesis import strategies as st
@@ -22,6 +23,25 @@ def unsigned_bipartite_census(p: int, q: int) -> frozenset:
             dv[v] += bit
         seen.add((tuple(sorted(du, reverse=True)), tuple(sorted(dv, reverse=True))))
     return frozenset(seen)
+
+
+ACCEPTANCE_SEED = 20260814
+
+
+def acceptance_targets() -> list[frozenset]:
+    """Every nonempty subset of {-6..6} with at most 3 elements, plus 200
+    random 4-element subsets, in a fixed order."""
+    universe = list(range(-6, 7))
+    targets = []
+    for k in (1, 2, 3):
+        targets.extend(frozenset(c) for c in itertools.combinations(universe, k))
+    assert len(targets) == 377
+    rng = random.Random(ACCEPTANCE_SEED)
+    extra = set()
+    while len(extra) < 200:
+        extra.add(frozenset(rng.sample(universe, 4)))
+    targets.extend(sorted(extra, key=sorted))
+    return targets
 
 
 _TAGS = ("X_1", "X_2'", "Y_3", "x_1", "y_2", "blk")

@@ -29,9 +29,7 @@ from sdegree import (
 from sdegree.cli import cli_main
 from sdegree.textio import emit_graph
 
-from .conftest import unsigned_bipartite_census
-
-SEED = 20260814
+from .conftest import ACCEPTANCE_SEED, acceptance_targets, unsigned_bipartite_census
 
 
 def _verdict(num: int, name: str, failures: list) -> None:
@@ -41,19 +39,8 @@ def _verdict(num: int, name: str, failures: list) -> None:
 
 @pytest.fixture(scope="module")
 def realizations():
-    """Every nonempty subset of {-6..6} with at most 3 elements, plus 200
-    random 4-element subsets, each paired with its constructed graph."""
-    universe = list(range(-6, 7))
-    targets = []
-    for k in (1, 2, 3):
-        targets.extend(frozenset(c) for c in itertools.combinations(universe, k))
-    assert len(targets) == 377
-    rng = random.Random(SEED)
-    extra = set()
-    while len(extra) < 200:
-        extra.add(frozenset(rng.sample(universe, 4)))
-    targets.extend(sorted(extra, key=sorted))
-    return [(target, realize_set(target)) for target in targets]
+    """Every acceptance target, each paired with its constructed graph."""
+    return [(target, realize_set(target)) for target in acceptance_targets()]
 
 
 def test_criterion_1_universal_realization(realizations):
@@ -181,7 +168,7 @@ def test_criterion_8_realizations_pass_the_pair_decider(realizations):
 
 def test_criterion_9_cli_end_to_end(realizations, tmp_path, capsys):
     failures = []
-    rng = random.Random(SEED + 1)
+    rng = random.Random(ACCEPTANCE_SEED + 1)
     for target, _ in rng.sample(realizations, 50):
         want = ",".join(str(x) for x in sorted(target))
         out_file = tmp_path / "roundtrip.sbg"
