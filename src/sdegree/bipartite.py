@@ -2,14 +2,16 @@
 
 is_bipartite_s_graphical answers whether two integer sequences can appear as
 the part-wise signed degree sequences of one signed bipartite graph, via a
-head-removal recursion over an orientation-normalised pair.  gale_ryser is
-the classical dominance test for unsigned bipartite degree pairs.
+depth-first search of head-removal steps over orientation-normalised pairs.
+The search is a loop whose memo of failed pairs lives for one call, so no
+state outlives the call and no input length meets Python's recursion limit.
+gale_ryser is the classical dominance test for unsigned bipartite degree
+pairs.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from functools import lru_cache
+from collections.abc import Iterable, Iterator, Sequence
 
 __all__ = [
     "is_standard_pair",
@@ -53,14 +55,23 @@ def _lead_side_standard(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return True
 
 
+def _standard_orientation(
+    a: tuple[int, ...], b: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    # The first standard orientation of a sorted pair, leading side first.
+    for x, y in _orientations(a, b):
+        if _lead_side_standard(x, y):
+            return x, y
+    return None
+
+
 def is_standard_pair(alpha: Iterable[int], beta: Iterable[int]) -> bool:
     """True when some orientation (optional joint negation, either side
     leading) satisfies the standard-pair conditions.
 
     Sequences are treated as multisets and sorted internally.
     """
-    a, b = _desc(alpha), _desc(beta)
-    return any(_lead_side_standard(x, y) for x, y in _orientations(a, b))
+    return _standard_orientation(_desc(alpha), _desc(beta)) is not None
 
 
 def reduce_pair(
@@ -93,28 +104,34 @@ def reduce_pair(
     return tuple(a[1:]), _desc(b)
 
 
+def _pair_reductions(
+    lead: tuple[int, ...], other: tuple[int, ...]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    # Lazy, so shift s + 1 is reduced only after shift s has failed.
+    d1 = lead[0]
+    for s in range((len(other) - d1) // 2 + 1):
+        yield reduce_pair(lead, other, d1 + s, s)
+
+
 def is_bipartite_s_graphical(alpha: Iterable[int], beta: Iterable[int]) -> bool:
     """True when some signed bipartite graph has alpha and beta as its
     part-wise signed degree sequences (as multisets)."""
-    return _decide(_desc(alpha), _desc(beta))
-
-
-@lru_cache(maxsize=None)
-def _decide(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    if all(x == 0 for x in a) and all(y == 0 for y in b):
-        return True  # edgeless layout, including an exhausted leading side
-    for x, y in _orientations(a, b):
-        if _lead_side_standard(x, y):
-            lead, other = x, y
-            break
-    else:
-        return False
-    d1 = lead[0]
-    q = len(other)
-    for s in range((q - d1) // 2 + 1):
-        tail, reduced = reduce_pair(lead, other, d1 + s, s)
-        if _decide(tail, reduced):
-            return True
+    # Depth-first over standard orientations; one already searched in this
+    # call failed, because a success ends the search.
+    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    stack = [iter([(_desc(alpha), _desc(beta))])]
+    while stack:
+        pair = next(stack[-1], None)
+        if pair is None:
+            stack.pop()
+            continue
+        a, b = pair
+        if all(x == 0 for x in a) and all(y == 0 for y in b):
+            return True  # edgeless layout, including an exhausted leading side
+        oriented = _standard_orientation(a, b)
+        if oriented is not None and oriented not in seen:
+            seen.add(oriented)
+            stack.append(_pair_reductions(*oriented))
     return False
 
 

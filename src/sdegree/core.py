@@ -10,7 +10,6 @@ new one.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -216,15 +215,15 @@ def is_connected(g: SignedGraph | SignedBipartiteGraph) -> bool:
         raise TypeError(f"not a signed graph: {g!r}")
     if total == 0:
         raise ValueError("connectivity of an empty graph is undefined")
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        node = queue.popleft()
-        for nxt in adjacency[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen) == total
+    reached = [False] * total
+    reached[0] = True
+    stack = [0]
+    while stack:
+        for nxt in adjacency[stack.pop()]:
+            if not reached[nxt]:
+                reached[nxt] = True
+                stack.append(nxt)
+    return all(reached)
 
 
 def join_all_positive(

@@ -9,15 +9,17 @@ nothing else can be realized.
 
 Standard sequences shrink by a Havel-Hakimi-style step: drop the head d1,
 subtract 1 from the next d1+s entries, keep the middle, add 1 to the last s,
-for a shift parameter s.  Searching every admissible shift decides
-realizability; so does following the single pivot-chosen shift of choose_m.
+for a shift parameter s.  A depth-first search over every admissible shift
+decides realizability; so does following the single pivot-chosen shift of
+choose_m.  Both deciders are loops: the search's memo of failed states lives
+for one call, so no state outlives the call and no sequence length meets
+Python's recursion limit.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 __all__ = [
     "Standard",
@@ -124,38 +126,38 @@ def choose_m(seq: Sequence[int]) -> int:
     return best
 
 
+def _reductions(vals: tuple[int, ...]) -> Iterator[list[int]]:
+    # Lazy, so shift s + 1 is reduced only after shift s has failed.
+    for s in range((len(vals) - 1 - vals[0]) // 2 + 1):
+        yield reduce_hakimi(vals, s)
+
+
 def is_s_graphical_branching(seq: Iterable[int]) -> bool:
     """True when some signed graph has this multiset as its signed degree
     sequence, decided by searching every admissible shift at each step."""
-    norm = normalize_standard(seq)
-    if isinstance(norm, AllZero):
-        return True
-    if isinstance(norm, NotStandard):
-        return False
-    return _branch(norm.values)
-
-
-@lru_cache(maxsize=None)
-def _branch(vals: tuple[int, ...]) -> bool:
-    n = len(vals)
-    d1 = vals[0]
-    return any(
-        is_s_graphical_branching(reduce_hakimi(vals, s))
-        for s in range((n - 1 - d1) // 2 + 1)
-    )
+    # Depth-first over normalised states; a state already searched in this
+    # call failed, because a success ends the search.
+    seen: set[tuple[int, ...]] = set()
+    stack = [iter([seq])]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+            continue
+        norm = normalize_standard(child)
+        if isinstance(norm, AllZero):
+            return True
+        if isinstance(norm, Standard) and norm.values not in seen:
+            seen.add(norm.values)
+            stack.append(_reductions(norm.values))
+    return False
 
 
 def is_s_graphical_deterministic(seq: Iterable[int]) -> bool:
     """Same verdict as the branching search, but following the single
     pivot-chosen shift at every step."""
     norm = normalize_standard(seq)
-    if isinstance(norm, AllZero):
-        return True
-    if isinstance(norm, NotStandard):
-        return False
-    return _single(norm.values)
-
-
-@lru_cache(maxsize=None)
-def _single(vals: tuple[int, ...]) -> bool:
-    return is_s_graphical_deterministic(reduce_hakimi(vals, choose_m(vals)))
+    while isinstance(norm, Standard):
+        vals = norm.values
+        norm = normalize_standard(reduce_hakimi(vals, choose_m(vals)))
+    return isinstance(norm, AllZero)

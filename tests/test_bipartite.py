@@ -1,18 +1,22 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdegree import (
+    Sign,
+    SignedBipartiteGraph,
     gale_ryser,
     is_bipartite_s_graphical,
     is_standard_pair,
     oracle_bipartite,
     reduce_pair,
+    signed_degree_sequences,
 )
 
-from .conftest import unsigned_bipartite_census
+from .conftest import bipartite_graphs, unsigned_bipartite_census
 
 
 class TestIsStandardPair:
@@ -171,10 +175,20 @@ class TestGaleRyser:
 
 
 @settings(max_examples=200)
-@given(
-    st.lists(st.integers(-4, 4), min_size=1, max_size=8),
-    st.lists(st.integers(-8, 8), min_size=4, max_size=8),
-)
-def test_decider_handles_sizes_beyond_the_oracle(alpha, beta):
+@given(bipartite_graphs(max_side=8))
+def test_decider_handles_sizes_beyond_the_oracle(g):
     # no guard here: the reduction works at sizes enumeration cannot reach
-    is_bipartite_s_graphical(alpha, beta)
+    assert is_bipartite_s_graphical(*signed_degree_sequences(g))
+
+
+def test_decider_accepts_a_random_300_by_300_graph():
+    # 300 reduction steps deep; runs at the default recursion limit
+    rng = random.Random(300)
+    edges = {
+        (u, v): rng.choice((Sign.POSITIVE, Sign.NEGATIVE))
+        for u in range(300)
+        for v in range(300)
+        if rng.random() < 0.7
+    }
+    g = SignedBipartiteGraph(300, 300, edges)
+    assert is_bipartite_s_graphical(*signed_degree_sequences(g))

@@ -61,6 +61,24 @@ def test_check_pair(capsys, method):
     assert out == "s-graphical: false\n"
 
 
+ONES_800 = ",".join(["1"] * 800)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-seq", "--seq", ONES_800, "--method", "branching"),
+        ("check-seq", "--seq", ONES_800, "--method", "deterministic"),
+        ("check-pair", "--alpha", ONES_800, "--beta", ONES_800),
+    ],
+    ids=["branching", "deterministic", "pair"],
+)
+def test_800_ones_are_decided(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == "s-graphical: true\n"
+
+
 def test_gale_ryser(capsys):
     code, out, _ = run(capsys, "gale-ryser", "--d", "2,1", "--e", "2,1")
     assert code == 0

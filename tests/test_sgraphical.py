@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +161,28 @@ class TestDeciders:
     def test_odd_sum_never_realizable(self, decide, seq):
         if sum(seq) % 2:
             assert not decide(seq)
+
+    def test_accepts_a_random_signed_graph_on_400_vertices(self, decide):
+        # 400 reduction steps deep; runs at the default recursion limit
+        rng = random.Random(400)
+        deg = [0] * 400
+        for a, b in itertools.combinations(range(400), 2):
+            sign = rng.choice((-1, 0, 1))
+            deg[a] += sign
+            deg[b] += sign
+        assert decide(deg)
+
+    def test_rejects_a_planted_false_sequence_of_length_400(self, decide):
+        # j vertices of degree n-1 meet every other vertex, so every other
+        # signed degree is at least j - (n-1-j) = 2j-n+1; plant one below it
+        n, j = 400, 300
+        rng = random.Random(401)
+        seq = [n - 1] * j + [0] + [rng.randint(1 - n, n - 1) for _ in range(n - j - 1)]
+        if sum(seq) % 2:
+            seq[j] = 1
+        assert seq[j] < 2 * j - n + 1
+        assert isinstance(normalize_standard(seq), Standard)
+        assert not decide(seq)
 
 
 def test_deciders_match_oracle_exhaustively_small():
