@@ -24,12 +24,10 @@ from .cli import cli_main
 from .core import (
     Sign,
     SignedBipartiteGraph,
-    SignedGraph,
     degree_vectors,
     flip_signs,
     is_connected,
     join_all_positive,
-    signed_degree,
     signed_degree_sequences,
     signed_degree_set,
 )
@@ -39,16 +37,11 @@ from .oracle import (
     OracleLimitError,
     connected_degree_sets,
     enumerate_signed_bipartite,
-    enumerate_signed_graphs,
     oracle_bipartite,
-    oracle_degree_set_realizable,
     oracle_s_graphical,
 )
 from .realize import (
     RealizationReport,
-    attach_zero_gadget,
-    bridge_mixed,
-    bridge_mixed_zero,
     realize_negative_set,
     realize_positive_set,
     realize_set,
@@ -80,11 +73,7 @@ __all__ = [
     "RealizationReport",
     "Sign",
     "SignedBipartiteGraph",
-    "SignedGraph",
     "Standard",
-    "attach_zero_gadget",
-    "bridge_mixed",
-    "bridge_mixed_zero",
     "choose_m",
     "cli_main",
     "connected_degree_sets",
@@ -92,7 +81,6 @@ __all__ = [
     "emit_dot",
     "emit_graph",
     "enumerate_signed_bipartite",
-    "enumerate_signed_graphs",
     "flip_signs",
     "gale_ryser",
     "is_bipartite_s_graphical",
@@ -103,7 +91,6 @@ __all__ = [
     "join_all_positive",
     "normalize_standard",
     "oracle_bipartite",
-    "oracle_degree_set_realizable",
     "oracle_s_graphical",
     "parse_graph",
     "realize_negative_set",
@@ -112,7 +99,6 @@ __all__ = [
     "realize_zero_set",
     "reduce_hakimi",
     "reduce_pair",
-    "signed_degree",
     "signed_degree_sequences",
     "signed_degree_set",
 ]

@@ -1,10 +1,9 @@
-"""Signed graphs and signed bipartite graphs with +/- edge labels.
+"""Signed bipartite graphs with +/- edge labels.
 
 The signed degree of a vertex is the number of positive incident edges minus
-the number of negative ones.  Both graph types are simple: a vertex pair
-carries at most one edge, and that edge has exactly one sign.  Graph values
-are treated as immutable; every operation that "changes" a graph returns a
-new one.
+the number of negative ones.  Graphs are simple: a vertex pair carries at
+most one edge, and that edge has exactly one sign.  Graph values are treated
+as immutable; every operation that "changes" a graph returns a new one.
 """
 
 from __future__ import annotations
@@ -15,9 +14,7 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "Sign",
-    "SignedGraph",
     "SignedBipartiteGraph",
-    "signed_degree",
     "signed_degree_set",
     "signed_degree_sequences",
     "degree_vectors",
@@ -28,51 +25,13 @@ __all__ = [
 
 
 class Sign(enum.Enum):
-    """Edge label: positive or negative.  Flipping twice is the identity."""
+    """Edge label: positive or negative."""
 
     POSITIVE = 1
     NEGATIVE = -1
 
-    @property
-    def flipped(self) -> "Sign":
-        return Sign.NEGATIVE if self is Sign.POSITIVE else Sign.POSITIVE
-
     def __str__(self) -> str:
         return "+" if self is Sign.POSITIVE else "-"
-
-
-@dataclass(eq=False)
-class SignedGraph:
-    """Simple graph on vertices 0..n-1 with a sign on every edge.
-
-    Edge keys are unordered pairs; they are normalised to (low, high) and
-    checked for loops, range, and double assignment on construction.
-    """
-
-    n: int
-    edges: dict[tuple[int, int], Sign] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {self.n}")
-        normalised: dict[tuple[int, int], Sign] = {}
-        for (a, b), sign in self.edges.items():
-            if a == b:
-                raise ValueError(f"loop edge at vertex {a}")
-            if not (0 <= a < self.n and 0 <= b < self.n):
-                raise ValueError(f"edge ({a}, {b}) out of range for n={self.n}")
-            if not isinstance(sign, Sign):
-                raise ValueError(f"edge ({a}, {b}) carries a non-sign value {sign!r}")
-            key = (a, b) if a < b else (b, a)
-            if key in normalised:
-                raise ValueError(f"vertex pair {key} assigned two signs")
-            normalised[key] = sign
-        self.edges = normalised
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SignedGraph):
-            return NotImplemented
-        return self.n == other.n and self.edges == other.edges
 
 
 @dataclass(eq=False)
@@ -144,44 +103,14 @@ def degree_vectors(g: SignedBipartiteGraph) -> tuple[list[int], list[int]]:
     return du, dv
 
 
-def signed_degree(g: SignedGraph | SignedBipartiteGraph, v) -> int:
-    """Signed degree of one vertex.
-
-    Vertices of a SignedGraph are plain indices; vertices of a
-    SignedBipartiteGraph are ("u", i) or ("v", j) pairs.
-    """
-    if isinstance(g, SignedGraph):
-        if not isinstance(v, int) or not 0 <= v < g.n:
-            raise ValueError(f"unknown vertex {v!r} for a {g.n}-vertex graph")
-        return sum(sign.value for (a, b), sign in g.edges.items() if v in (a, b))
-    if isinstance(g, SignedBipartiteGraph):
-        match v:
-            case ("u", int(idx)) if 0 <= idx < g.p:
-                return sum(s.value for (u, _), s in g.edges.items() if u == idx)
-            case ("v", int(idx)) if 0 <= idx < g.q:
-                return sum(s.value for (_, w), s in g.edges.items() if w == idx)
-        raise ValueError(f"unknown vertex {v!r} for parts of size {g.p} and {g.q}")
-    raise TypeError(f"not a signed graph: {g!r}")
-
-
-def signed_degree_set(g: SignedGraph | SignedBipartiteGraph) -> frozenset[int]:
+def signed_degree_set(g: SignedBipartiteGraph) -> frozenset[int]:
     """Set of distinct signed degrees over all vertices (both parts)."""
-    if isinstance(g, SignedGraph):
-        if g.n == 0:
-            raise ValueError("degree set of an empty graph is undefined")
-        deg = [0] * g.n
-        pos = Sign.POSITIVE
-        for (a, b), sign in g.edges.items():
-            step = 1 if sign is pos else -1
-            deg[a] += step
-            deg[b] += step
-        return frozenset(deg)
-    if isinstance(g, SignedBipartiteGraph):
-        if g.p + g.q == 0:
-            raise ValueError("degree set of an empty graph is undefined")
-        du, dv = degree_vectors(g)
-        return frozenset(du) | frozenset(dv)
-    raise TypeError(f"not a signed graph: {g!r}")
+    if not isinstance(g, SignedBipartiteGraph):
+        raise TypeError(f"not a signed bipartite graph: {g!r}")
+    if g.p + g.q == 0:
+        raise ValueError("degree set of an empty graph is undefined")
+    du, dv = degree_vectors(g)
+    return frozenset(du) | frozenset(dv)
 
 
 def signed_degree_sequences(
@@ -194,27 +123,24 @@ def signed_degree_sequences(
     return tuple(sorted(du, reverse=True)), tuple(sorted(dv, reverse=True))
 
 
-def is_connected(g: SignedGraph | SignedBipartiteGraph) -> bool:
+def is_connected(g: SignedBipartiteGraph) -> bool:
     """True when the underlying unsigned graph has a single component.
 
-    Signs are ignored; a one-vertex graph counts as connected.
+    Signs are ignored; a one-vertex graph counts as connected.  Fewer edges
+    than vertices minus one cannot connect the graph, so that answer comes
+    before any per-vertex allocation.
     """
-    if isinstance(g, SignedGraph):
-        total = g.n
-        adjacency: list[list[int]] = [[] for _ in range(total)]
-        for a, b in g.edges:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-    elif isinstance(g, SignedBipartiteGraph):
-        total = g.p + g.q
-        adjacency = [[] for _ in range(total)]
-        for u, v in g.edges:
-            adjacency[u].append(g.p + v)
-            adjacency[g.p + v].append(u)
-    else:
-        raise TypeError(f"not a signed graph: {g!r}")
+    if not isinstance(g, SignedBipartiteGraph):
+        raise TypeError(f"not a signed bipartite graph: {g!r}")
+    total = g.p + g.q
     if total == 0:
         raise ValueError("connectivity of an empty graph is undefined")
+    if len(g.edges) < total - 1:
+        return False
+    adjacency: list[list[int]] = [[] for _ in range(total)]
+    for u, v in g.edges:
+        adjacency[u].append(g.p + v)
+        adjacency[g.p + v].append(u)
     reached = [False] * total
     reached[0] = True
     stack = [0]
@@ -247,16 +173,13 @@ def join_all_positive(
     return SignedBipartiteGraph(g.p, g.q, edges, dict(g.block_labels))
 
 
-def flip_signs(g: SignedGraph | SignedBipartiteGraph):
+def flip_signs(g: SignedBipartiteGraph) -> SignedBipartiteGraph:
     """Same graph with every edge sign inverted; every signed degree negates.
 
-    Flipping keeps a valid bipartite graph valid, so that result skips
-    validation.
+    Flipping keeps a valid graph valid, so the result skips validation.
     """
-    if not isinstance(g, (SignedGraph, SignedBipartiteGraph)):
-        raise TypeError(f"not a signed graph: {g!r}")
+    if not isinstance(g, SignedBipartiteGraph):
+        raise TypeError(f"not a signed bipartite graph: {g!r}")
     pos, neg = Sign.POSITIVE, Sign.NEGATIVE
     flipped = {pair: neg if sign is pos else pos for pair, sign in g.edges.items()}
-    if isinstance(g, SignedGraph):
-        return SignedGraph(g.n, flipped)
     return SignedBipartiteGraph._trusted(g.p, g.q, flipped, dict(g.block_labels))

@@ -12,23 +12,15 @@ import itertools
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
-from .core import (
-    Sign,
-    SignedBipartiteGraph,
-    SignedGraph,
-    is_connected,
-    signed_degree_set,
-)
+from .core import Sign, SignedBipartiteGraph, is_connected, signed_degree_set
 
 __all__ = [
     "OracleLimitError",
     "MAX_ORACLE_VERTICES",
     "MAX_ORACLE_SLOTS",
-    "enumerate_signed_graphs",
     "enumerate_signed_bipartite",
     "oracle_s_graphical",
     "oracle_bipartite",
-    "oracle_degree_set_realizable",
     "connected_degree_sets",
 ]
 
@@ -49,20 +41,6 @@ def _pair_slots(n: int) -> list[tuple[int, int]]:
 
 def _cross_slots(p: int, q: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(p) for v in range(q)]
-
-
-def enumerate_signed_graphs(n: int) -> Iterator[SignedGraph]:
-    """Yield every simple signed graph on n labelled vertices exactly once."""
-    if n < 0:
-        raise ValueError(f"vertex count must be non-negative, got {n}")
-    if n > MAX_ORACLE_VERTICES:
-        raise OracleLimitError(
-            f"n={n} exceeds the exhaustive guard n <= {MAX_ORACLE_VERTICES}"
-        )
-    slots = _pair_slots(n)
-    for choice in itertools.product(_CHOICES, repeat=len(slots)):
-        edges = {pair: sign for pair, sign in zip(slots, choice) if sign is not None}
-        yield SignedGraph(n, edges)
 
 
 def enumerate_signed_bipartite(p: int, q: int) -> Iterator[SignedBipartiteGraph]:
@@ -128,25 +106,6 @@ def oracle_bipartite(alpha: Iterable[int], beta: Iterable[int]) -> bool:
             f"p*q={len(a) * len(b)} exceeds the exhaustive guard p*q <= {MAX_ORACLE_SLOTS}"
         )
     return (a, b) in _pair_census(len(a), len(b))
-
-
-def oracle_degree_set_realizable(
-    s: Iterable[int], p: int, q: int, require_connected: bool = False
-) -> bool:
-    """Does any p x q signed bipartite graph (optionally connected) have
-    signed degree set exactly s?  Scans graphs, stopping at a witness."""
-    target = frozenset(s)
-    if not target:
-        raise ValueError("degree set must be nonempty")
-    if p + q == 0:
-        return False
-    for g in enumerate_signed_bipartite(p, q):
-        if signed_degree_set(g) != target:
-            continue
-        if require_connected and not is_connected(g):
-            continue
-        return True
-    return False
 
 
 def connected_degree_sets(p: int, q: int) -> list[tuple[int, ...]]:

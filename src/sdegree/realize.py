@@ -11,10 +11,10 @@ degrees never move.
 ``realize_set`` builds its graph in one pass, in time linear in the edge
 count: every block join goes straight into one edge dict, and the internal
 pieces skip validation.  The result is validated once, and its degree set and
-connectivity are checked once, at the public boundary.  The public helpers
-(``attach_zero_gadget`` and the bridges) keep their own input checks when
-called directly.  ``core.join_all_positive`` stays a public helper; the
-construction no longer calls it.
+connectivity are checked once, at the public boundary.
+``core.join_all_positive`` stays bound here: it is the tests' blockwise
+reference for the positive construction, and perfbench wraps it on this
+module.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain, product
 
-from .core import (  # noqa: F401 -- join_all_positive stays bound here for perfbench/tracing.py
+from .core import (  # noqa: F401 -- perfbench/tracing.py wraps the unused names here
     Sign,
     SignedBipartiteGraph,
     flip_signs,
@@ -38,9 +38,6 @@ __all__ = [
     "realize_positive_set",
     "realize_negative_set",
     "realize_zero_set",
-    "attach_zero_gadget",
-    "bridge_mixed",
-    "bridge_mixed_zero",
     "realize_set",
 ]
 
@@ -142,7 +139,7 @@ def realize_zero_set() -> RealizationReport:
     return realize_set({0})
 
 
-def attach_zero_gadget(g: SignedBipartiteGraph, u1: int, v1: int) -> SignedBipartiteGraph:
+def _attach_zero_gadget(g: SignedBipartiteGraph, u1: int, v1: int) -> SignedBipartiteGraph:
     """Extend a connected graph with vertices x1, x2 (U side) and y1, y2
     (V side), all four at signed degree zero, moving no existing degree.
 
@@ -150,14 +147,6 @@ def attach_zero_gadget(g: SignedBipartiteGraph, u1: int, v1: int) -> SignedBipar
     x2-v1; each touched vertex gains one edge of each sign.  The new
     vertices take the next indices after the existing ones.
     """
-    if not 0 <= u1 < g.p or not 0 <= v1 < g.q:
-        raise ValueError(f"anchor ({u1}, {v1}) out of range for p={g.p}, q={g.q}")
-    if not is_connected(g):
-        raise ValueError("base graph must be connected")
-    return _attach_zero_gadget(g, u1, v1)
-
-
-def _attach_zero_gadget(g: SignedBipartiteGraph, u1: int, v1: int) -> SignedBipartiteGraph:
     x1, x2 = g.p, g.p + 1
     y1, y2 = g.q, g.q + 1
     edges = dict(g.edges)
@@ -198,7 +187,7 @@ def _concat(
     return SignedBipartiteGraph._trusted(p, q, edges, labels), u_offsets, v_offsets
 
 
-def bridge_mixed(
+def _bridge_mixed(
     g1: SignedBipartiteGraph,
     g1_copy: SignedBipartiteGraph,
     g2: SignedBipartiteGraph,
@@ -213,20 +202,7 @@ def bridge_mixed(
     Each copy must mirror its original (part sizes and degree sequences);
     graphs are values, so a piece may be passed as its own copy.
     """
-    pieces = (g1, g1_copy, g2, g2_copy)
-    for g in pieces:
-        if not is_connected(g):
-            raise ValueError("all four pieces must be connected")
-    for original, copy in ((g1, g1_copy), (g2, g2_copy)):
-        if (original.p, original.q) != (copy.p, copy.q) or signed_degree_sequences(
-            original
-        ) != signed_degree_sequences(copy):
-            raise ValueError("each copy must mirror its original (part sizes and degrees)")
-    return _bridge_mixed(*pieces)
-
-
-def _bridge_mixed(*pieces: SignedBipartiteGraph) -> SignedBipartiteGraph:
-    merged, u_off, v_off = _concat(*pieces)
+    merged, u_off, v_off = _concat(g1, g1_copy, g2, g2_copy)
     u1, u1c = u_off[0], u_off[1]
     v2, v2c = v_off[2], v_off[3]
     edges = merged.edges
@@ -237,9 +213,7 @@ def _bridge_mixed(*pieces: SignedBipartiteGraph) -> SignedBipartiteGraph:
     return merged
 
 
-def bridge_mixed_zero(
-    g1: SignedBipartiteGraph, g2: SignedBipartiteGraph
-) -> SignedBipartiteGraph:
+def _bridge_with_zero(g1: SignedBipartiteGraph, g2: SignedBipartiteGraph) -> SignedBipartiteGraph:
     """Disjoint union of two connected graphs plus fresh vertices x (U side)
     and y (V side), joined degree-neutrally; x and y sit at signed degree
     zero and the whole graph comes out connected.
@@ -247,15 +221,6 @@ def bridge_mixed_zero(
     New edges: positive u1-v2, u2-y, x-v1 and negative u1-y, u2-v1, x-v2,
     where u_i, v_i are the first vertices of each part of g_i.
     """
-    for g in (g1, g2):
-        if g.p == 0 or g.q == 0:
-            raise ValueError("both parts of each piece must be nonempty")
-        if not is_connected(g):
-            raise ValueError("both pieces must be connected")
-    return _bridge_mixed_zero(g1, g2)
-
-
-def _bridge_mixed_zero(g1: SignedBipartiteGraph, g2: SignedBipartiteGraph) -> SignedBipartiteGraph:
     merged, u_off, v_off = _concat(g1, g2)
     x, y = merged.p, merged.q
     u1, v1 = u_off[0], v_off[0]
@@ -299,7 +264,7 @@ def _build(
         )
         return _bridge_mixed(g1, g1, g2, g2), "mixed_nonzero", block_sizes
     block_sizes = _tagged("G1", blocks1) + _tagged("G2", blocks2) + [("x", 1), ("y", 1)]
-    return _bridge_mixed_zero(g1, g2), "mixed_with_zero", block_sizes
+    return _bridge_with_zero(g1, g2), "mixed_with_zero", block_sizes
 
 
 def realize_set(s: Iterable[int]) -> RealizationReport:

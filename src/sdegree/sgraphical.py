@@ -113,17 +113,17 @@ def choose_m(seq: Sequence[int]) -> int:
     or 0 when no positive m qualifies.
 
     Candidates stay inside the shift range of reduce_hakimi, which also keeps
-    both pivot indices on the sequence.
+    both pivot indices on the sequence; they are scanned from the largest
+    down, so the first hit is the answer.
     """
     vals = list(seq)
     _require_reducible(vals)
     n = len(vals)
     d1 = vals[0]
-    best = 0
-    for m in range(1, (n - 1 - d1) // 2 + 1):
+    for m in range((n - 1 - d1) // 2, 0, -1):
         if vals[d1 + m] > vals[n - m]:
-            best = m
-    return best
+            return m
+    return 0
 
 
 def _reductions(vals: tuple[int, ...]) -> Iterator[list[int]]:

@@ -120,6 +120,16 @@ class TestChooseM:
         assert 0 <= m <= (len(vals) - 1 - vals[0]) // 2
         reduce_hakimi(vals, m)  # must not raise
 
+    @given(st.lists(st.integers(-12, 12), min_size=1, max_size=25))
+    def test_matches_the_all_candidates_definition(self, seq):
+        norm = normalize_standard(seq)
+        if not isinstance(norm, Standard):
+            return
+        vals = norm.values
+        n, d1 = len(vals), vals[0]
+        qualifying = [m for m in range(1, (n - 1 - d1) // 2 + 1) if vals[d1 + m] > vals[n - m]]
+        assert choose_m(vals) == max(qualifying, default=0)
+
 
 DECIDERS = [is_s_graphical_branching, is_s_graphical_deterministic]
 
