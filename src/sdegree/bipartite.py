@@ -5,13 +5,17 @@ the part-wise signed degree sequences of one signed bipartite graph, via a
 depth-first search of head-removal steps over orientation-normalised pairs.
 The search is a loop whose memo of failed pairs lives for one call, so no
 state outlives the call and no input length meets Python's recursion limit.
+Each head-removal step is one call of reduce_pair, whose argument checks
+re-sort tuples that are already sorted (a linear pass) and compare integers.
 gale_ryser is the classical dominance test for unsigned bipartite degree
-pairs.
+pairs, in O(p + q) time after its input checks.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
+from itertools import accumulate, chain, islice, repeat
+from operator import add, ge, le, sub
 
 __all__ = [
     "is_standard_pair",
@@ -25,8 +29,9 @@ def _desc(seq: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(seq, reverse=True))
 
 
-def _negated(seq: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sorted((-x for x in seq), reverse=True))
+def _negated(seq: tuple[int, ...]) -> tuple[int, ...]:
+    # seq is sorted non-increasing, so its negation reversed is too
+    return tuple([-x for x in reversed(seq)])
 
 
 def _orientations(a, b):
@@ -40,19 +45,14 @@ def _orientations(a, b):
 
 
 def _lead_side_standard(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    # a plays the leading role; both tuples arrive sorted non-increasing.
-    p, q = len(a), len(b)
-    if not a or (a[0] == 0 and a[-1] == 0):
+    # a plays the leading role; both tuples arrive sorted non-increasing, so
+    # the largest magnitude on each side sits at one of its ends.
+    if not a or a[0] <= 0 or a[0] < -a[-1]:
+        return False  # all zero, or a head that is not positive and dominant
+    if a[0] > len(b) or sum(a) != sum(b):
         return False
-    if a[0] <= 0 or a[0] < -a[-1]:
-        return False
-    if sum(a) != sum(b):
-        return False
-    if any(abs(x) > q for x in a):
-        return False
-    if any(abs(y) > p or abs(y) > a[0] for y in b):
-        return False
-    return True
+    # b is nonempty here, because its length is at least a[0] > 0
+    return max(b[0], -b[-1]) <= min(len(a), a[0])
 
 
 def _standard_orientation(
@@ -85,8 +85,8 @@ def reduce_pair(
     means the first r positions, "smallest" the last s.  Both results come
     back sorted non-increasing.
     """
-    a = list(_desc(alpha))
-    b = list(_desc(beta))
+    a = _desc(alpha)
+    b = _desc(beta)
     if not a:
         raise ValueError("alpha must be nonempty")
     d1 = a[0]
@@ -95,43 +95,35 @@ def reduce_pair(
         raise ValueError(f"need r - s = {d1} with r, s >= 0, got r={r}, s={s}")
     if s > (q - d1) // 2:
         raise ValueError(f"shift s={s} outside [0, {(q - d1) // 2}] for head {d1}, q={q}")
-    if r + s > q:
-        raise ValueError(f"r + s = {r + s} exceeds q = {q}")
-    for i in range(r):
-        b[i] -= 1
-    for i in range(q - s, q):
-        b[i] += 1
-    return tuple(a[1:]), _desc(b)
-
-
-def _pair_reductions(
-    lead: tuple[int, ...], other: tuple[int, ...]
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    # Lazy, so shift s + 1 is reduced only after shift s has failed.
-    d1 = lead[0]
-    for s in range((len(other) - d1) // 2 + 1):
-        yield reduce_pair(lead, other, d1 + s, s)
+    stepped = chain(map(add, b[:r], repeat(-1)), b[r : q - s], map(add, b[q - s :], repeat(1)))
+    return a[1:], _desc(stepped)
 
 
 def is_bipartite_s_graphical(alpha: Iterable[int], beta: Iterable[int]) -> bool:
     """True when some signed bipartite graph has alpha and beta as its
     part-wise signed degree sequences (as multisets)."""
-    # Depth-first over standard orientations; one already searched in this
-    # call failed, because a success ends the search.
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    stack = [iter([(_desc(alpha), _desc(beta))])]
+    a, b = _desc(alpha), _desc(beta)
+    if not any(a) and not any(b):
+        return True  # edgeless layout
+    oriented = _standard_orientation(a, b)
+    if oriented is None:
+        return False
+    # Depth-first over standard orientations, each stacked with the next
+    # shift to try; one already searched in this call failed, because a
+    # success ends the search.
+    seen = {oriented}
+    stack = [(*oriented, 0)]
     while stack:
-        pair = next(stack[-1], None)
-        if pair is None:
-            stack.pop()
-            continue
-        a, b = pair
-        if all(x == 0 for x in a) and all(y == 0 for y in b):
+        a, b, s = stack.pop()
+        if s < (len(b) - a[0]) // 2:
+            stack.append((a, b, s + 1))
+        a, b = reduce_pair(a, b, a[0] + s, s)
+        if not any(a) and not any(b):
             return True  # edgeless layout, including an exhausted leading side
         oriented = _standard_orientation(a, b)
         if oriented is not None and oriented not in seen:
             seen.add(oriented)
-            stack.append(_pair_reductions(*oriented))
+            stack.append((*oriented, 0))
     return False
 
 
@@ -139,19 +131,29 @@ def gale_ryser(d: Sequence[int], e: Sequence[int]) -> bool:
     """Unsigned bipartite degree-pair test: equal sums and every prefix of d
     dominated by sum(min(k, e_j)).
 
-    d must arrive sorted non-increasing; all entries must be non-negative.
+    d must arrive sorted non-increasing; all entries must be non-negative
+    integers, where integral floats such as 1.0 count as integers.  Runs in
+    O(p + q) for p = len(d), q = len(e).
     """
     d = list(d)
     e = list(e)
-    if any(x < 0 for x in d) or any(y < 0 for y in e):
+    if min(d, default=0) < 0 or min(e, default=0) < 0:
         raise ValueError("entries must be non-negative")
-    if any(d[i] < d[i + 1] for i in range(len(d) - 1)):
+    if not all(map(ge, d, islice(d, 1, None))):
         raise ValueError("d must be sorted non-increasing")
+    whole = list(map(int, e))  # e indexes the count table below
+    if whole != e or d != list(map(int, d)):
+        raise ValueError("entries must be integers")
+    e = whole
     if sum(d) != sum(e):
         return False
-    prefix = 0
-    for k in range(1, len(d) + 1):
-        prefix += d[k - 1]
-        if prefix > sum(min(k, y) for y in e):
-            return False
-    return True
+    # sum(min(k, e_j)) = sum over t = 1..k of #{j : e_j >= t}, and
+    # #{j : e_j >= t} = q - #{j : e_j < t}; tally[v] counts the e_j equal to
+    # v, with every e_j >= p in tally[p], since no k beyond p is asked.
+    p = len(d)
+    tally = [0] * (p + 1)
+    for y in e:
+        tally[y if y < p else p] += 1
+    below = accumulate(tally)  # k-th value: #{j : e_j < k}
+    caps = accumulate(map(sub, repeat(len(e)), below))  # k-th: sum(min(k, e_j))
+    return all(map(le, accumulate(d), caps))

@@ -1,9 +1,10 @@
 """Command line front end.
 
 Subcommands: realize, check-seq, check-pair, gale-ryser, degree-set,
-enumerate.  Exit codes: 0 success, 1 usage or input errors, 2 when an
-exhaustive-enumeration size guard is exceeded.  Output is deterministic:
-identical argv always produces identical stdout.
+enumerate.  Exit codes: 0 success, 1 usage or input errors, 2 when a size
+limit is exceeded: an exhaustive-enumeration size guard, or a set element
+or declared part size above sys.maxsize, which cannot size a list or range.
+Output is deterministic: identical argv always produces identical stdout.
 """
 
 from __future__ import annotations
@@ -30,6 +31,16 @@ __all__ = ["cli_main", "main"]
 
 class _UsageError(Exception):
     pass
+
+
+class _SizeLimitError(Exception):
+    pass
+
+
+def _sizable(value: int, what: str) -> None:
+    # Python cannot make a list or range longer than sys.maxsize.
+    if abs(value) > sys.maxsize:
+        raise _SizeLimitError(f"{what} {value} exceeds the size limit {sys.maxsize}")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -61,7 +72,10 @@ def _word(value: bool) -> str:
 
 
 def _cmd_realize(args) -> int:
-    report = realize_set(_ints(args.set))
+    targets = _ints(args.set)
+    for x in targets:
+        _sizable(x, "set element")
+    report = realize_set(targets)
     graph = report.graph
     print(f"case: {report.case_used}")
     print(f"|U|={graph.p} |V|={graph.q}")
@@ -96,6 +110,8 @@ def _cmd_gale_ryser(args) -> int:
 def _cmd_degree_set(args) -> int:
     text = sys.stdin.read() if args.infile == "-" else Path(args.infile).read_text()
     graph = parse_graph(text)
+    _sizable(graph.p, "part size")
+    _sizable(graph.q, "part size")
     print("degree set: " + ",".join(str(x) for x in sorted(signed_degree_set(graph))))
     print(f"connected: {_word(is_connected(graph))}")
     return 0
@@ -168,7 +184,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except OracleLimitError as exc:
+    except (OracleLimitError, _SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ParseError, ValueError, OSError) as exc:

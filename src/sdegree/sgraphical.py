@@ -14,12 +14,20 @@ decides realizability; so does following the single pivot-chosen shift of
 choose_m.  Both deciders are loops: the search's memo of failed states lives
 for one call, so no state outlives the call and no sequence length meets
 Python's recursion limit.
+
+Each reduction step of a decider is one call of reduce_hakimi, whose
+argument check is a single C-level pass.  Orientation and the pivot run as
+private helpers on plain lists, so no state object is built per step; the
+public normalize_standard and choose_m are the same helpers behind their
+own argument handling.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import islice, repeat
+from operator import add, ge
 
 __all__ = [
     "Standard",
@@ -57,21 +65,42 @@ class NotStandard:
 NormalForm = Standard | AllZero | NotStandard
 
 
-def normalize_standard(seq: Iterable[int]) -> NormalForm:
-    """Sort non-increasing, orient the head positive and dominant, classify."""
+def _normal(seq: Iterable[int]) -> tuple[list[int], bool, str | None]:
+    # Sort non-increasing, orient, classify.  Returns the oriented list
+    # (empty when every entry is 0), whether it was negated, and the reason
+    # it is not standard, or None when it is.
     vals = sorted(seq, reverse=True)
     if not vals or (vals[0] == 0 and vals[-1] == 0):
-        return AllZero()
-    negated = False
-    if vals[0] <= 0 or vals[0] < -vals[-1]:
-        vals = sorted((-x for x in vals), reverse=True)
-        negated = True
-    n = len(vals)
+        return [], False, None
+    negated = vals[0] <= 0 or vals[0] < -vals[-1]
+    if negated:
+        vals = [-x for x in reversed(vals)]
+    # the head is now positive and at least the tail's magnitude
     if sum(vals) % 2:
-        return NotStandard("sum of entries is odd")
-    top = max(vals[0], -vals[-1])
-    if top >= n:
-        return NotStandard(f"an entry has magnitude {top}, not below the length {n}")
+        return vals, negated, "sum of entries is odd"
+    n = len(vals)
+    if vals[0] >= n:
+        return vals, negated, f"an entry has magnitude {vals[0]}, not below the length {n}"
+    return vals, negated, None
+
+
+def _pivot(vals: Sequence[int]) -> int:
+    # choose_m on a standard non-increasing sequence, unchecked: scan from
+    # the largest admissible shift down, so the first hit is the answer.
+    n, d1 = len(vals), vals[0]
+    for m in range((n - 1 - d1) // 2, 0, -1):
+        if vals[d1 + m] > vals[n - m]:
+            return m
+    return 0
+
+
+def normalize_standard(seq: Iterable[int]) -> NormalForm:
+    """Sort non-increasing, orient the head positive and dominant, classify."""
+    vals, negated, reason = _normal(seq)
+    if not vals:
+        return AllZero()
+    if reason is not None:
+        return NotStandard(reason)
     # orientation guarantees a positive, magnitude-dominant head
     if not (vals[0] > 0 and vals[0] >= -vals[-1]):
         raise AssertionError(f"orientation left a non-dominant head in {vals}")
@@ -81,7 +110,7 @@ def normalize_standard(seq: Iterable[int]) -> NormalForm:
 def _require_reducible(vals: Sequence[int]) -> None:
     if not vals or vals[0] < 1:
         raise ValueError("expected a standard sequence with positive head")
-    if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
+    if not all(map(ge, vals, islice(vals, 1, None))):
         raise ValueError("expected a non-increasing sequence")
 
 
@@ -100,11 +129,10 @@ def reduce_hakimi(seq: Sequence[int], s: int) -> list[int]:
         raise ValueError(
             f"shift s={s} outside [0, {(n - 1 - d1) // 2}] for head {d1}, length {n}"
         )
-    out = vals[1:]
-    for i in range(d1 + s):
-        out[i] -= 1
-    for i in range(n - 1 - s, n - 1):
-        out[i] += 1
+    k = d1 + s + 1
+    out = list(map(add, vals[1:k], repeat(-1)))
+    out += vals[k : n - s]
+    out += map(add, vals[n - s :], repeat(1))
     return out
 
 
@@ -118,46 +146,43 @@ def choose_m(seq: Sequence[int]) -> int:
     """
     vals = list(seq)
     _require_reducible(vals)
-    n = len(vals)
-    d1 = vals[0]
-    for m in range((n - 1 - d1) // 2, 0, -1):
-        if vals[d1 + m] > vals[n - m]:
-            return m
-    return 0
-
-
-def _reductions(vals: tuple[int, ...]) -> Iterator[list[int]]:
-    # Lazy, so shift s + 1 is reduced only after shift s has failed.
-    for s in range((len(vals) - 1 - vals[0]) // 2 + 1):
-        yield reduce_hakimi(vals, s)
+    return _pivot(vals)
 
 
 def is_s_graphical_branching(seq: Iterable[int]) -> bool:
     """True when some signed graph has this multiset as its signed degree
     sequence, decided by searching every admissible shift at each step."""
-    # Depth-first over normalised states; a state already searched in this
-    # call failed, because a success ends the search.
-    seen: set[tuple[int, ...]] = set()
-    stack = [iter([seq])]
+    vals, _, reason = _normal(seq)
+    if not vals:
+        return True
+    if reason is not None:
+        return False
+    # Depth-first over normalised states, each stacked with the next shift
+    # to try; a state already searched in this call failed, because a
+    # success ends the search.  The stack holds the very tuples in seen, so
+    # a state on the search path is stored once.
+    state = tuple(vals)
+    seen = {state}
+    stack = [(state, 0)]
     while stack:
-        child = next(stack[-1], None)
-        if child is None:
-            stack.pop()
-            continue
-        norm = normalize_standard(child)
-        if isinstance(norm, AllZero):
+        state, s = stack.pop()
+        if s < (len(state) - 1 - state[0]) // 2:
+            stack.append((state, s + 1))
+        child, _, reason = _normal(reduce_hakimi(state, s))
+        if not child:
             return True
-        if isinstance(norm, Standard) and norm.values not in seen:
-            seen.add(norm.values)
-            stack.append(_reductions(norm.values))
+        if reason is None:
+            state = tuple(child)
+            if state not in seen:
+                seen.add(state)
+                stack.append((state, 0))
     return False
 
 
 def is_s_graphical_deterministic(seq: Iterable[int]) -> bool:
     """Same verdict as the branching search, but following the single
     pivot-chosen shift at every step."""
-    norm = normalize_standard(seq)
-    while isinstance(norm, Standard):
-        vals = norm.values
-        norm = normalize_standard(reduce_hakimi(vals, choose_m(vals)))
-    return isinstance(norm, AllZero)
+    vals, _, reason = _normal(seq)
+    while vals and reason is None:
+        vals, _, reason = _normal(reduce_hakimi(vals, _pivot(vals)))
+    return not vals

@@ -163,6 +163,36 @@ class TestGaleRyser:
         with pytest.raises(ValueError):
             gale_ryser([1], [-1, 2])
 
+    def test_accepts_integral_floats(self):
+        assert gale_ryser([1.0], [1.0]) is True
+        assert gale_ryser([1, 1], [1.0, 1.0]) is True
+        assert gale_ryser([2.0, 1], [3.0]) is False  # dominance fails at k = 1
+
+    def test_rejects_fractional_entries(self):
+        with pytest.raises(ValueError, match="integers"):
+            gale_ryser([1], [0.5, 0.5])
+        with pytest.raises(ValueError, match="integers"):
+            gale_ryser([1.5, 0.5], [2])
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.integers(0, 12), max_size=12),
+        st.lists(st.integers(0, 30), max_size=12),
+        st.booleans(),
+    )
+    def test_matches_the_prefix_definition(self, d, e, level_sums):
+        # e may hold zeros and entries beyond len(d); either side may be
+        # empty; sums are levelled in about half the examples
+        d.sort(reverse=True)
+        if level_sums and e and sum(d) > sum(e):
+            e[0] += sum(d) - sum(e)
+        elif level_sums and d and sum(d) < sum(e):
+            d[0] += sum(e) - sum(d)  # still non-increasing
+        expected = sum(d) == sum(e) and all(
+            sum(d[:k]) <= sum(min(k, y) for y in e) for k in range(1, len(d) + 1)
+        )
+        assert gale_ryser(d, e) is expected
+
     def test_matches_brute_force_smoke(self):
         # parts up to 3; the 4x4 sweep lives in the acceptance suite
         for p in range(1, 4):

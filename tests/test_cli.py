@@ -1,4 +1,5 @@
 import io
+import sys
 
 import pytest
 
@@ -171,6 +172,25 @@ class TestExitCodes:
         assert code == 2
         assert "guard" in err
         assert run(capsys, "enumerate", "--p", "4", "--q", "4", "--sets")[0] == 2
+
+    # Integers above sys.maxsize cannot size a list or range, so these are
+    # refused before anything is allocated; smaller oversized values would
+    # allocate.
+    HUGE = str(sys.maxsize * 10**3)
+
+    def test_oversized_realize_target_is_2(self, capsys):
+        code, out, err = run(capsys, "realize", "--set", self.HUGE)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "size limit" in err
+
+    def test_oversized_declared_part_is_2(self, tmp_path, capsys):
+        doc = tmp_path / "huge.sbg"
+        doc.write_text(f"sbg {self.HUGE} 1\n")
+        code, out, err = run(capsys, "degree-set", "--in", str(doc))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "size limit" in err
 
     def test_guard_does_not_hit_the_reduction_methods(self, capsys):
         seq = ",".join(["1", "1"] * 8)  # 16 entries, far past the oracle guard

@@ -1,0 +1,239 @@
+"""The deciders orient and pick pivots through private, unchecked helpers on
+plain lists, and reduce through reduce_hakimi and reduce_pair.  These tests
+hold them to the public step functions: a reference that composes
+normalize_standard, reduce_hakimi, choose_m and reduce_pair step by step must
+reach the same verdict, at sizes beyond the oracles' range."""
+
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sdegree import (
+    AllZero,
+    NotStandard,
+    Standard,
+    bipartite,
+    choose_m,
+    is_bipartite_s_graphical,
+    is_s_graphical_branching,
+    is_s_graphical_deterministic,
+    is_standard_pair,
+    normalize_standard,
+    reduce_hakimi,
+    reduce_pair,
+    sgraphical,
+)
+
+
+def _shifts(vals):
+    # Lazy, so shift s + 1 is reduced only after shift s has failed.
+    for s in range((len(vals) - 1 - vals[0]) // 2 + 1):
+        yield reduce_hakimi(vals, s)
+
+
+def branching_reference(seq):
+    seen = set()
+    stack = [iter([seq])]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+            continue
+        norm = normalize_standard(child)
+        if isinstance(norm, AllZero):
+            return True
+        if isinstance(norm, Standard) and norm.values not in seen:
+            seen.add(norm.values)
+            stack.append(_shifts(norm.values))
+    return False
+
+
+def deterministic_reference(seq):
+    norm = normalize_standard(seq)
+    while isinstance(norm, Standard):
+        vals = norm.values
+        norm = normalize_standard(reduce_hakimi(vals, choose_m(vals)))
+    return isinstance(norm, AllZero)
+
+
+def _desc(seq):
+    return tuple(sorted(seq, reverse=True))
+
+
+def _lead_side_standard(a, b):
+    # the standard-pair conditions, written entry by entry
+    p, q = len(a), len(b)
+    if not a or all(x == 0 for x in a):
+        return False
+    if a[0] <= 0 or a[0] < -a[-1]:
+        return False
+    if sum(a) != sum(b):
+        return False
+    if any(abs(x) > q for x in a):
+        return False
+    return not any(abs(y) > p or abs(y) > a[0] for y in b)
+
+
+def _standard_orientation(a, b):
+    neg_a, neg_b = _desc(-x for x in a), _desc(-y for y in b)
+    for x, y in ((a, b), (neg_a, neg_b), (b, a), (neg_b, neg_a)):
+        if _lead_side_standard(x, y):
+            return x, y
+    return None
+
+
+def _pair_shifts(lead, other):
+    d1 = lead[0]
+    for s in range((len(other) - d1) // 2 + 1):
+        yield reduce_pair(lead, other, d1 + s, s)
+
+
+def pair_reference(alpha, beta):
+    seen = set()
+    stack = [iter([(_desc(alpha), _desc(beta))])]
+    while stack:
+        pair = next(stack[-1], None)
+        if pair is None:
+            stack.pop()
+            continue
+        a, b = pair
+        if all(x == 0 for x in a) and all(y == 0 for y in b):
+            return True
+        oriented = _standard_orientation(a, b)
+        if oriented is not None and oriented not in seen:
+            seen.add(oriented)
+            stack.append(_pair_shifts(*oriented))
+    return False
+
+
+@st.composite
+def sequences(draw, max_n=40):
+    """Uniform entries in a drawn magnitude range, or the signed degree
+    sequence of a random signed graph with one entry moved by 0 or ±2 (true,
+    or false without an easy parity or magnitude reason)."""
+    n = draw(st.integers(1, max_n))
+    if draw(st.booleans()):
+        top = draw(st.integers(0, n - 1))
+        return draw(st.lists(st.integers(-top, top), min_size=n, max_size=n))
+    rng = draw(st.randoms(use_true_random=False))
+    deg = [0] * n
+    for a, b in itertools.combinations(range(n), 2):
+        sign = rng.choice((-1, 0, 1))
+        deg[a] += sign
+        deg[b] += sign
+    deg[rng.randrange(n)] += draw(st.sampled_from((0, 2, -2)))
+    return deg
+
+
+@st.composite
+def pairs(draw, max_side=25):
+    """Random entries with the sums levelled, or the part-wise sequences of
+    a random signed bipartite graph with one entry per side moved by 0 or 1."""
+    p = draw(st.integers(1, max_side))
+    q = draw(st.integers(1, max_side))
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        alpha = [rng.randint(-q, q) for _ in range(p)]
+        beta = [rng.randint(-p, p) for _ in range(q)]
+        beta[rng.randrange(q)] += sum(alpha) - sum(beta)
+        return alpha, beta
+    alpha, beta = [0] * p, [0] * q
+    for u in range(p):
+        for v in range(q):
+            sign = rng.choice((-1, 0, 1))
+            alpha[u] += sign
+            beta[v] += sign
+    bump = draw(st.sampled_from((0, 1)))
+    alpha[rng.randrange(p)] += bump
+    beta[rng.randrange(q)] += bump
+    return alpha, beta
+
+
+@settings(max_examples=300, deadline=None)
+@given(sequences())
+def test_sequence_deciders_match_the_step_composition(seq):
+    assert is_s_graphical_branching(seq) == branching_reference(seq)
+    assert is_s_graphical_deterministic(seq) == deterministic_reference(seq)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs())
+def test_pair_decider_matches_the_step_composition(pair):
+    assert is_bipartite_s_graphical(*pair) == pair_reference(*pair)
+
+
+@given(pairs(max_side=8))
+def test_is_standard_pair_matches_the_conditions_entry_by_entry(pair):
+    alpha, beta = pair
+    expected = _standard_orientation(_desc(alpha), _desc(beta)) is not None
+    assert is_standard_pair(alpha, beta) == expected
+
+
+@given(st.lists(st.integers(-6, 6), max_size=40))
+def test_normalize_standard_matches_its_definition(seq):
+    # sort; negate and sort again when the head is not positive and
+    # dominant (a head equal to the tail's magnitude stays); then check
+    # parity and magnitude
+    vals = sorted(seq, reverse=True)
+    if not any(vals):
+        assert normalize_standard(seq) == AllZero()
+        return
+    negated = vals[0] <= 0 or vals[0] < -vals[-1]
+    if negated:
+        vals = sorted((-x for x in vals), reverse=True)
+    n = len(vals)
+    top = max(abs(x) for x in vals)
+    norm = normalize_standard(seq)
+    if sum(vals) % 2:
+        assert norm == NotStandard("sum of entries is odd")
+    elif top >= n:
+        assert norm == NotStandard(f"an entry has magnitude {top}, not below the length {n}")
+    else:
+        assert norm == Standard(tuple(vals), negated)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a decider called a step function it does not use")
+
+
+def test_each_reduction_step_is_one_call_of_the_public_step(monkeypatch):
+    # Orientation and the pivot run as private helpers, so wrappers around
+    # normalize_standard and choose_m count 0 calls; every reduction step is
+    # one call of reduce_hakimi or reduce_pair, which wrappers count.
+    calls = {"reduce_hakimi": 0, "reduce_pair": 0}
+
+    def counted(module, name):
+        step = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return step(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    monkeypatch.setattr(sgraphical, "normalize_standard", _refuse)
+    monkeypatch.setattr(sgraphical, "choose_m", _refuse)
+    counted(sgraphical, "reduce_hakimi")
+    counted(bipartite, "reduce_pair")
+    for seq, expected in (
+        ([1, 1], True),
+        ([2, 2, -1, -1], False),
+        ([5, 5, 5, 5, 5, 5], True),
+        ([1, 1, 1, 1, 0, -1, -1, -1, -1], True),
+        ([3, 3, -3, -3], False),
+    ):
+        assert is_s_graphical_branching(seq) is expected, seq
+        assert is_s_graphical_deterministic(seq) is expected, seq
+    # [5] * 6 admits only shift 0 at every step: 5 steps reach all zeros
+    calls["reduce_hakimi"] = 0
+    assert is_s_graphical_deterministic([5] * 6) and calls["reduce_hakimi"] == 5
+    for alpha, beta, expected in (
+        ([1], [1, 1, -1], True),
+        ([2, -2], [1, -1], False),
+        ([3], [1, 1, 1], True),
+        ([2, 2], [2, -2], False),
+    ):
+        assert is_bipartite_s_graphical(alpha, beta) is expected, (alpha, beta)
+    calls["reduce_pair"] = 0
+    assert is_bipartite_s_graphical([3], [1, 1, 1]) and calls["reduce_pair"] == 1
