@@ -25,7 +25,6 @@ from .core import (
     Sign,
     SignedBipartiteGraph,
     degree_vectors,
-    flip_signs,
     is_connected,
     join_all_positive,
     signed_degree_sequences,
@@ -81,7 +80,6 @@ __all__ = [
     "emit_dot",
     "emit_graph",
     "enumerate_signed_bipartite",
-    "flip_signs",
     "gale_ryser",
     "is_bipartite_s_graphical",
     "is_connected",

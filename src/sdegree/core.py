@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import repeat
 
 __all__ = [
     "Sign",
@@ -20,7 +21,6 @@ __all__ = [
     "degree_vectors",
     "is_connected",
     "join_all_positive",
-    "flip_signs",
 ]
 
 
@@ -50,37 +50,21 @@ class SignedBipartiteGraph:
     block_labels: dict[tuple[str, int], str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.p < 0 or self.q < 0:
-            raise ValueError(f"part sizes must be non-negative, got p={self.p}, q={self.q}")
-        checked: dict[tuple[int, int], Sign] = {}
-        for (u, v), sign in self.edges.items():
-            if not (0 <= u < self.p and 0 <= v < self.q):
-                raise ValueError(f"edge ({u}, {v}) out of range for p={self.p}, q={self.q}")
-            if not isinstance(sign, Sign):
-                raise ValueError(f"edge ({u}, {v}) carries a non-sign value {sign!r}")
-            checked[(u, v)] = sign
-        self.edges = checked
-        labels: dict[tuple[str, int], str] = {}
-        for (part, idx), tag in self.block_labels.items():
-            size = self.p if part == "u" else self.q if part == "v" else -1
+        p, q = self.p, self.q
+        if p < 0 or q < 0:
+            raise ValueError(f"part sizes must be non-negative, got p={p}, q={q}")
+        self.edges = edges = dict(self.edges)
+        for u, v in edges:
+            if not (0 <= u < p and 0 <= v < q):
+                raise ValueError(f"edge ({u}, {v}) out of range for p={p}, q={q}")
+        if not all(map(isinstance, edges.values(), repeat(Sign))):
+            (u, v), sign = next(item for item in edges.items() if not isinstance(item[1], Sign))
+            raise ValueError(f"edge ({u}, {v}) carries a non-sign value {sign!r}")
+        self.block_labels = labels = dict(self.block_labels)
+        for part, idx in labels:
+            size = p if part == "u" else q if part == "v" else -1
             if not 0 <= idx < size:
                 raise ValueError(f"label key ({part!r}, {idx}) does not name a vertex")
-            labels[(part, idx)] = tag
-        self.block_labels = labels
-
-    @classmethod
-    def _trusted(
-        cls,
-        p: int,
-        q: int,
-        edges: dict[tuple[int, int], Sign],
-        block_labels: dict[tuple[str, int], str],
-    ) -> "SignedBipartiteGraph":
-        """Wrap parts and dicts that are valid by construction, skipping
-        ``__post_init__``; the dicts are taken over, not copied."""
-        g = object.__new__(cls)
-        g.p, g.q, g.edges, g.block_labels = p, q, edges, block_labels
-        return g
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SignedBipartiteGraph):
@@ -104,13 +88,27 @@ def degree_vectors(g: SignedBipartiteGraph) -> tuple[list[int], list[int]]:
 
 
 def signed_degree_set(g: SignedBipartiteGraph) -> frozenset[int]:
-    """Set of distinct signed degrees over all vertices (both parts)."""
+    """Set of distinct signed degrees over all vertices (both parts).
+
+    As in ``is_connected``, a graph with fewer edges than vertices minus one
+    gets no per-vertex allocation: only touched vertices are counted, and an
+    untouched one adds degree 0.
+    """
     if not isinstance(g, SignedBipartiteGraph):
         raise TypeError(f"not a signed bipartite graph: {g!r}")
-    if g.p + g.q == 0:
+    total = g.p + g.q
+    if total == 0:
         raise ValueError("degree set of an empty graph is undefined")
-    du, dv = degree_vectors(g)
-    return frozenset(du) | frozenset(dv)
+    if len(g.edges) >= total - 1:
+        du, dv = degree_vectors(g)
+        return frozenset(du) | frozenset(dv)
+    degree: dict[int, int] = {}  # U vertex u at key u, V vertex v at key p + v
+    for (u, v), sign in g.edges.items():
+        step = 1 if sign is Sign.POSITIVE else -1
+        degree[u] = degree.get(u, 0) + step
+        degree[g.p + v] = degree.get(g.p + v, 0) + step
+    touched = frozenset(degree.values())
+    return touched | {0} if len(degree) < total else touched
 
 
 def signed_degree_sequences(
@@ -171,15 +169,3 @@ def join_all_positive(
                 raise ValueError(f"pair ({x}, {y}) already has an edge")
             edges[(x, y)] = Sign.POSITIVE
     return SignedBipartiteGraph(g.p, g.q, edges, dict(g.block_labels))
-
-
-def flip_signs(g: SignedBipartiteGraph) -> SignedBipartiteGraph:
-    """Same graph with every edge sign inverted; every signed degree negates.
-
-    Flipping keeps a valid graph valid, so the result skips validation.
-    """
-    if not isinstance(g, SignedBipartiteGraph):
-        raise TypeError(f"not a signed bipartite graph: {g!r}")
-    pos, neg = Sign.POSITIVE, Sign.NEGATIVE
-    flipped = {pair: neg if sign is pos else pos for pair, sign in g.edges.items()}
-    return SignedBipartiteGraph._trusted(g.p, g.q, flipped, dict(g.block_labels))

@@ -8,9 +8,12 @@ other mixture is glued from those pieces with degree-neutral edges: each
 touched vertex gains one positive and one negative edge, so existing signed
 degrees never move.
 
-``realize_set`` builds its graph in one pass, in time linear in the edge
-count: every block join goes straight into one edge dict, and the internal
-pieces skip validation.  The result is validated once, and its degree set and
+Until its last step a construction is a ``_Layout``: part sizes, a list of
+signed rectangles (a complete join of two vertex ranges, all of one sign), a
+few single signed edges (the zero square, the gadget and the bridges) and
+label runs.  A disjoint union only offsets ranges and the sign mirror only
+flips signs, so ``realize_set`` creates every edge once, in time linear in
+the edge count, and validates the graph once; its degree set and
 connectivity are checked once, at the public boundary.
 ``core.join_all_positive`` stays bound here: it is the tests' blockwise
 reference for the positive construction, and perfbench wraps it on this
@@ -21,12 +24,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, product, repeat
+from typing import NamedTuple
 
 from .core import (  # noqa: F401 -- perfbench/tracing.py wraps the unused names here
     Sign,
     SignedBipartiteGraph,
-    flip_signs,
     is_connected,
     join_all_positive,
     signed_degree_sequences,
@@ -41,6 +44,9 @@ __all__ = [
     "realize_set",
 ]
 
+_POS, _NEG = Sign.POSITIVE, Sign.NEGATIVE
+_FLIPPED = {_POS: _NEG, _NEG: _POS}
+
 
 @dataclass
 class RealizationReport:
@@ -50,6 +56,17 @@ class RealizationReport:
     graph: SignedBipartiteGraph
     case_used: str
     block_sizes: list[tuple[str, int]]
+
+
+class _Layout(NamedTuple):
+    """A construction before its edges exist.  Layouts are values: every
+    step returns a new one and never changes its arguments' lists."""
+
+    p: int
+    q: int
+    rects: list[tuple[range, range, Sign]]  # every pair in xs x ys, one sign
+    singles: list[tuple[tuple[int, int], Sign]]
+    labels: list[tuple[str, range, str]]  # (part, members, block name)
 
 
 _GADGET_BLOCKS = [("x_1", 1), ("x_2", 1), ("y_1", 1), ("y_2", 1)]
@@ -75,16 +92,26 @@ def _tagged(tag: str, sizes: list[tuple[str, int]]) -> list[tuple[str, int]]:
     return [(f"{tag}.{name}", size) for name, size in sizes]
 
 
-def _positive_blocks(
-    targets: list[int],
-) -> tuple[SignedBipartiteGraph, list[tuple[str, int]]]:
-    """The block graph of ``realize_positive_set`` for ascending targets,
-    unvalidated, with its block sizes.  Both parts share one layout (X_1,
-    X_2, X_2', X_3, ... and Y_1, Y_2, Y_2', Y_3, ...), so Y_i' directly
-    follows Y_i and X_i' joins one contiguous range."""
-    labels: dict[tuple[str, int], str] = {}
+def _shifted(r: range, by: int) -> range:
+    return range(r.start + by, r.stop + by)
+
+
+def _signed(positive: list[tuple[int, int]], negative: list[tuple[int, int]]) -> list:
+    return [(pair, _POS) for pair in positive] + [(pair, _NEG) for pair in negative]
+
+
+def _single_vertices(*named: tuple[str, int, str]) -> list[tuple[str, range, str]]:
+    return [(part, range(i, i + 1), name) for part, i, name in named]
+
+
+def _positive_blocks(targets: list[int]) -> tuple[_Layout, list[tuple[str, int]]]:
+    """The block layout of ``realize_positive_set`` for ascending targets,
+    with its block sizes.  Both parts share one layout (X_1, X_2, X_2', X_3,
+    ... and Y_1, Y_2, Y_2', Y_3, ...), so Y_i' directly follows Y_i and X_i'
+    joins one contiguous range."""
+    rects: list[tuple[range, range, Sign]] = []
+    labels: list[tuple[str, range, str]] = []
     block_sizes: list[tuple[str, int]] = []
-    joins = []
     y_blocks: list[range] = []  # Y_1 .. Y_i
     start = prev = 0
     for i, target in enumerate(targets, start=1):
@@ -95,24 +122,13 @@ def _positive_blocks(
             for suffix, members in named:
                 name = letter + suffix
                 block_sizes.append((name, len(members)))
-                labels.update(dict.fromkeys(((part, j) for j in members), name))
+                labels.append((part, members, name))
         y_blocks.append(block)
-        joins.extend(product(block, ys) for ys in y_blocks)
-        joins.append(product(primed, range(start, start + target)))  # Y_i and Y_i'
+        rects.extend((block, ys, _POS) for ys in y_blocks)
+        rects.append((primed, range(start, start + target), _POS))  # Y_i and Y_i'
         start += target
         prev = target
-    edges = dict.fromkeys(chain.from_iterable(joins), Sign.POSITIVE)
-    return SignedBipartiteGraph._trusted(start, start, edges, labels), block_sizes
-
-
-def _zero_square() -> SignedBipartiteGraph:
-    edges = {
-        (0, 0): Sign.POSITIVE,
-        (1, 1): Sign.POSITIVE,
-        (0, 1): Sign.NEGATIVE,
-        (1, 0): Sign.NEGATIVE,
-    }
-    return SignedBipartiteGraph._trusted(2, 2, edges, {})
+    return _Layout(start, start, rects, [], labels), block_sizes
 
 
 def realize_positive_set(s: Iterable[int]) -> RealizationReport:
@@ -139,9 +155,17 @@ def realize_zero_set() -> RealizationReport:
     return realize_set({0})
 
 
-def _attach_zero_gadget(g: SignedBipartiteGraph, u1: int, v1: int) -> SignedBipartiteGraph:
-    """Extend a connected graph with vertices x1, x2 (U side) and y1, y2
-    (V side), all four at signed degree zero, moving no existing degree.
+def _mirrored(g: _Layout) -> _Layout:
+    """Every sign flipped, which negates every signed degree."""
+    return g._replace(
+        rects=[(xs, ys, _FLIPPED[sign]) for xs, ys, sign in g.rects],
+        singles=[(pair, _FLIPPED[sign]) for pair, sign in g.singles],
+    )
+
+
+def _attach_zero_gadget(g: _Layout, u1: int, v1: int) -> _Layout:
+    """Extend a connected construction with vertices x1, x2 (U side) and y1,
+    y2 (V side), all four at signed degree zero, moving no existing degree.
 
     New edges: positive u1-y1, x1-v1, x2-y2 and negative u1-y2, x1-y1,
     x2-v1; each touched vertex gains one edge of each sign.  The new
@@ -149,74 +173,56 @@ def _attach_zero_gadget(g: SignedBipartiteGraph, u1: int, v1: int) -> SignedBipa
     """
     x1, x2 = g.p, g.p + 1
     y1, y2 = g.q, g.q + 1
-    edges = dict(g.edges)
-    edges[(u1, y1)] = Sign.POSITIVE
-    edges[(x1, v1)] = Sign.POSITIVE
-    edges[(x2, y2)] = Sign.POSITIVE
-    edges[(u1, y2)] = Sign.NEGATIVE
-    edges[(x1, y1)] = Sign.NEGATIVE
-    edges[(x2, v1)] = Sign.NEGATIVE
-    labels = dict(g.block_labels)
-    labels[("u", x1)] = "x_1"
-    labels[("u", x2)] = "x_2"
-    labels[("v", y1)] = "y_1"
-    labels[("v", y2)] = "y_2"
-    return SignedBipartiteGraph._trusted(g.p + 2, g.q + 2, edges, labels)
+    singles = g.singles + _signed([(u1, y1), (x1, v1), (x2, y2)], [(u1, y2), (x1, y1), (x2, v1)])
+    labels = g.labels + _single_vertices(("u", x1, "x_1"), ("u", x2, "x_2"), ("v", y1, "y_1"), ("v", y2, "y_2"))
+    return _Layout(g.p + 2, g.q + 2, g.rects, singles, labels)
 
 
-def _concat(
-    *graphs: SignedBipartiteGraph,
-) -> tuple[SignedBipartiteGraph, list[int], list[int]]:
+def _concat(*pieces: _Layout) -> tuple[_Layout, list[int], list[int]]:
     """Disjoint union; parts are concatenated in argument order.  Returns the
-    union plus the U and V index offsets of every piece.  The union is a
-    fresh graph, so callers may extend its dicts in place."""
-    edges: dict[tuple[int, int], Sign] = {}
-    labels: dict[tuple[str, int], str] = {}
+    union plus the U and V index offsets of every piece.  The union's lists
+    are fresh, so callers may extend them in place."""
+    rects: list[tuple[range, range, Sign]] = []
+    singles: list[tuple[tuple[int, int], Sign]] = []
+    labels: list[tuple[str, range, str]] = []
     u_offsets: list[int] = []
     v_offsets: list[int] = []
     p = q = 0
-    for g in graphs:
+    for g in pieces:
         u_offsets.append(p)
         v_offsets.append(q)
-        for (u, v), sign in g.edges.items():
-            edges[(u + p, v + q)] = sign
-        for (part, idx), tag in g.block_labels.items():
-            labels[(part, idx + (p if part == "u" else q))] = tag
+        rects.extend((_shifted(xs, p), _shifted(ys, q), sign) for xs, ys, sign in g.rects)
+        singles.extend(((u + p, v + q), sign) for (u, v), sign in g.singles)
+        labels.extend(
+            (part, _shifted(members, p if part == "u" else q), name) for part, members, name in g.labels
+        )
         p += g.p
         q += g.q
-    return SignedBipartiteGraph._trusted(p, q, edges, labels), u_offsets, v_offsets
+    return _Layout(p, q, rects, singles, labels), u_offsets, v_offsets
 
 
-def _bridge_mixed(
-    g1: SignedBipartiteGraph,
-    g1_copy: SignedBipartiteGraph,
-    g2: SignedBipartiteGraph,
-    g2_copy: SignedBipartiteGraph,
-) -> SignedBipartiteGraph:
-    """Disjoint union of four connected graphs (concatenated in argument
-    order) plus four degree-neutral bridge edges that connect the result.
+def _bridge_mixed(g1: _Layout, g1_copy: _Layout, g2: _Layout, g2_copy: _Layout) -> _Layout:
+    """Disjoint union of four connected constructions (concatenated in
+    argument order) plus four degree-neutral bridge edges that connect the
+    result.
 
     The bridge runs between the first u-vertex of g1 and of g1_copy and the
     first v-vertex of g2 and of g2_copy: positive u1-v2', u1'-v2 and negative
     u1-v2, u1'-v2'.  Every bridge endpoint gains one edge of each sign.
     Each copy must mirror its original (part sizes and degree sequences);
-    graphs are values, so a piece may be passed as its own copy.
+    layouts are values, so a piece may be passed as its own copy.
     """
     merged, u_off, v_off = _concat(g1, g1_copy, g2, g2_copy)
     u1, u1c = u_off[0], u_off[1]
     v2, v2c = v_off[2], v_off[3]
-    edges = merged.edges
-    edges[(u1, v2c)] = Sign.POSITIVE
-    edges[(u1c, v2)] = Sign.POSITIVE
-    edges[(u1, v2)] = Sign.NEGATIVE
-    edges[(u1c, v2c)] = Sign.NEGATIVE
+    merged.singles.extend(_signed([(u1, v2c), (u1c, v2)], [(u1, v2), (u1c, v2c)]))
     return merged
 
 
-def _bridge_with_zero(g1: SignedBipartiteGraph, g2: SignedBipartiteGraph) -> SignedBipartiteGraph:
-    """Disjoint union of two connected graphs plus fresh vertices x (U side)
-    and y (V side), joined degree-neutrally; x and y sit at signed degree
-    zero and the whole graph comes out connected.
+def _bridge_with_zero(g1: _Layout, g2: _Layout) -> _Layout:
+    """Disjoint union of two connected constructions plus fresh vertices x
+    (U side) and y (V side), joined degree-neutrally; x and y sit at signed
+    degree zero and the whole graph comes out connected.
 
     New edges: positive u1-v2, u2-y, x-v1 and negative u1-y, u2-v1, x-v2,
     where u_i, v_i are the first vertices of each part of g_i.
@@ -225,30 +231,22 @@ def _bridge_with_zero(g1: SignedBipartiteGraph, g2: SignedBipartiteGraph) -> Sig
     x, y = merged.p, merged.q
     u1, v1 = u_off[0], v_off[0]
     u2, v2 = u_off[1], v_off[1]
-    edges = merged.edges
-    edges[(u1, v2)] = Sign.POSITIVE
-    edges[(u2, y)] = Sign.POSITIVE
-    edges[(x, v1)] = Sign.POSITIVE
-    edges[(u1, y)] = Sign.NEGATIVE
-    edges[(u2, v1)] = Sign.NEGATIVE
-    edges[(x, v2)] = Sign.NEGATIVE
-    merged.block_labels[("u", x)] = "x"
-    merged.block_labels[("v", y)] = "y"
-    return SignedBipartiteGraph._trusted(x + 1, y + 1, edges, merged.block_labels)
+    merged.singles.extend(_signed([(u1, v2), (u2, y), (x, v1)], [(u1, y), (u2, v1), (x, v2)]))
+    merged.labels.extend(_single_vertices(("u", x, "x"), ("v", y, "y")))
+    return merged._replace(p=x + 1, q=y + 1)
 
 
-def _build(
-    elems: frozenset[int],
-) -> tuple[SignedBipartiteGraph, str, list[tuple[str, int]]]:
-    """Unvalidated construction for a nonempty set: graph, case, blocks."""
+def _build(elems: frozenset[int]) -> tuple[_Layout, str, list[tuple[str, int]]]:
+    """Layout of the construction for a nonempty set: layout, case, blocks."""
     positives = sorted(x for x in elems if x > 0)
     negatives = frozenset(x for x in elems if x < 0)
     if not positives and negatives:
         # sign mirror of the non-negative construction, gadget included
-        graph, case, block_sizes = _build(frozenset(-x for x in elems))
-        return flip_signs(graph), _MIRRORED_CASES[case], block_sizes
+        layout, case, block_sizes = _build(frozenset(-x for x in elems))
+        return _mirrored(layout), _MIRRORED_CASES[case], block_sizes
     if not positives:
-        return _zero_square(), "zero_only", [("U", 2), ("V", 2)]
+        square = _signed([(0, 0), (1, 1)], [(0, 1), (1, 0)])
+        return _Layout(2, 2, [], square, []), "zero_only", [("U", 2), ("V", 2)]
     g1, blocks1 = _positive_blocks(positives)
     if not negatives:
         if 0 not in elems:
@@ -267,6 +265,19 @@ def _build(
     return _bridge_with_zero(g1, g2), "mixed_with_zero", block_sizes
 
 
+def _graph(g: _Layout) -> SignedBipartiteGraph:
+    """Create every edge and label of a layout once, then validate once."""
+    edges: dict[tuple[int, int], Sign] = {}
+    for sign in (_POS, _NEG):
+        pairs = chain.from_iterable(product(xs, ys) for xs, ys, s in g.rects if s is sign)
+        edges.update(dict.fromkeys(pairs, sign))
+    edges.update(g.singles)
+    labels: dict[tuple[str, int], str] = {}
+    for part, members, name in g.labels:
+        labels.update(dict.fromkeys(zip(repeat(part), members), name))
+    return SignedBipartiteGraph(g.p, g.q, edges, labels)
+
+
 def realize_set(s: Iterable[int]) -> RealizationReport:
     """Build a connected signed bipartite graph whose set of distinct signed
     degrees is exactly s, dispatching on the sign pattern of s.
@@ -275,8 +286,8 @@ def realize_set(s: Iterable[int]) -> RealizationReport:
     checked once; a miss raises AssertionError, also under ``python -O``.
     """
     elems = _validated_set(s)
-    piece, case, block_sizes = _build(elems)
-    graph = SignedBipartiteGraph(piece.p, piece.q, piece.edges, piece.block_labels)
+    layout, case, block_sizes = _build(elems)
+    graph = _graph(layout)
     if signed_degree_set(graph) != elems or not is_connected(graph):
         raise AssertionError(f"construction for {sorted(elems)} missed its target")
     return RealizationReport(graph, case, block_sizes)

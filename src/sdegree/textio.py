@@ -29,13 +29,20 @@ class ParseError(ValueError):
 _HEADER_RE = re.compile(r"sbg\s+(\d+)\s+(\d+)")
 _EDGE_RE = re.compile(r"u(\d+)\s+v(\d+)\s+([+-])")
 _LABEL_RE = re.compile(r"#\s+([uv])(\d+)\s+(\S+)")
+_SIGN_TEXT = {Sign.POSITIVE: "+", Sign.NEGATIVE: "-"}
+_DOT_STYLE = {Sign.POSITIVE: "solid", Sign.NEGATIVE: "dashed"}
+
+
+def _sorted_edges(g: SignedBipartiteGraph):
+    """(key, sign) pairs in key order; only the keys are sorted."""
+    keys = sorted(g.edges)
+    return zip(keys, map(g.edges.__getitem__, keys))
 
 
 def emit_graph(g: SignedBipartiteGraph) -> str:
     """Serialize to the edge-list format; deterministic for equal graphs."""
     lines = [f"sbg {g.p} {g.q}"]
-    for (u, v), sign in sorted(g.edges.items()):
-        lines.append(f"u{u + 1} v{v + 1} {sign}")
+    lines += [f"u{u + 1} v{v + 1} {_SIGN_TEXT[sign]}" for (u, v), sign in _sorted_edges(g)]
     for (part, idx), tag in sorted(g.block_labels.items(), key=lambda kv: (kv[0][0] != "u", kv[0][1])):
         lines.append(f"# {part}{idx + 1} {tag}")
     return "\n".join(lines) + "\n"
@@ -106,8 +113,6 @@ def emit_dot(g: SignedBipartiteGraph) -> str:
     for j in range(g.q):
         lines.append(f'    v{j + 1} [label="v{j + 1} [sdeg={dv[j]}]"];')
     lines.append("  }")
-    for (u, v), sign in sorted(g.edges.items()):
-        style = "solid" if sign is Sign.POSITIVE else "dashed"
-        lines.append(f"  u{u + 1} -- v{v + 1} [style={style}];")
+    lines += [f"  u{u + 1} -- v{v + 1} [style={_DOT_STYLE[sign]}];" for (u, v), sign in _sorted_edges(g)]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -44,6 +44,15 @@ def acceptance_targets() -> list[frozenset]:
     return targets
 
 
+_FLIP = {Sign.POSITIVE: Sign.NEGATIVE, Sign.NEGATIVE: Sign.POSITIVE}
+
+
+def flipped(g: SignedBipartiteGraph) -> SignedBipartiteGraph:
+    """The sign mirror: every edge sign inverted, labels kept."""
+    edges = {pair: _FLIP[sign] for pair, sign in g.edges.items()}
+    return SignedBipartiteGraph(g.p, g.q, edges, g.block_labels)
+
+
 _TAGS = ("X_1", "X_2'", "Y_3", "x_1", "y_2", "blk")
 
 

@@ -1,20 +1,20 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdegree import (
     Sign,
     SignedBipartiteGraph,
     degree_vectors,
-    flip_signs,
     is_connected,
     join_all_positive,
     signed_degree_sequences,
     signed_degree_set,
 )
 
-from .conftest import bipartite_graphs
+from .conftest import bipartite_graphs, flipped
 
 
 def test_sign_str():
@@ -143,15 +143,103 @@ def test_join_all_positive_rejects_occupied_pair_and_bad_endpoint():
 def test_flip_signs_negates_degrees():
     g = SignedBipartiteGraph(2, 2, {(0, 0): Sign.POSITIVE, (1, 0): Sign.NEGATIVE})
     du, dv = degree_vectors(g)
-    fu, fv = degree_vectors(flip_signs(g))
+    fu, fv = degree_vectors(flipped(g))
     assert fu == [-x for x in du]
     assert fv == [-x for x in dv]
-    with pytest.raises(TypeError):
-        flip_signs(object())
 
 
 @given(bipartite_graphs(with_labels=True))
 def test_flip_signs_is_involution(g):
-    back = flip_signs(flip_signs(g))
+    back = flipped(flipped(g))
     assert back == g
     assert back.block_labels == g.block_labels
+    assert signed_degree_set(flipped(g)) == {-d for d in signed_degree_set(g)}
+
+
+@given(bipartite_graphs(max_side=6))
+def test_signed_degree_set_matches_degree_vectors(g):
+    # graphs with fewer than p + q - 1 edges take the sparse path
+    du, dv = degree_vectors(g)
+    assert signed_degree_set(g) == frozenset(du) | frozenset(dv)
+
+
+def test_signed_degree_set_allocates_nothing_per_declared_vertex():
+    g = SignedBipartiteGraph(10**6, 1, {(0, 0): Sign.POSITIVE})
+    tracemalloc.start()
+    try:
+        assert signed_degree_set(g) == {0, 1}
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _validated_per_edge(p, q, edges, labels):
+    """Reference validation: one loop over the edges that checks each edge
+    and re-inserts it into a fresh dict, then the same for the labels."""
+    if p < 0 or q < 0:
+        raise ValueError(f"part sizes must be non-negative, got p={p}, q={q}")
+    checked = {}
+    for (u, v), sign in edges.items():
+        if not (0 <= u < p and 0 <= v < q):
+            raise ValueError(f"edge ({u}, {v}) out of range for p={p}, q={q}")
+        if not isinstance(sign, Sign):
+            raise ValueError(f"edge ({u}, {v}) carries a non-sign value {sign!r}")
+        checked[(u, v)] = sign
+    checked_labels = {}
+    for (part, idx), tag in labels.items():
+        size = p if part == "u" else q if part == "v" else -1
+        if not 0 <= idx < size:
+            raise ValueError(f"label key ({part!r}, {idx}) does not name a vertex")
+        checked_labels[(part, idx)] = tag
+    return checked, checked_labels
+
+
+class _EqualToAnything:
+    def __eq__(self, other):
+        return True
+
+
+_index = st.integers(-1, 4)
+_keys = st.one_of(
+    st.tuples(_index, _index),
+    st.tuples(_index),
+    st.tuples(_index, _index, _index),
+    st.integers(0, 3),
+    st.text(max_size=3),
+    st.none(),
+)
+_values = st.one_of(
+    st.sampled_from(Sign), st.integers(-1, 1), st.none(), st.just(_EqualToAnything()), st.just("+")
+)
+_label_keys = st.one_of(
+    st.tuples(st.sampled_from("uvw"), _index),
+    st.tuples(st.just("u")),
+    st.integers(0, 3),
+    st.text(max_size=2),
+)
+
+
+def _outcome(build):
+    try:
+        return "accepted", build()
+    except (TypeError, ValueError) as exc:
+        return "rejected", (type(exc), str(exc))
+
+
+@settings(max_examples=400)
+@given(
+    st.integers(-1, 4),
+    st.integers(-1, 4),
+    st.dictionaries(_keys, _values, max_size=4),
+    st.dictionaries(_label_keys, st.just("X_1"), max_size=3),
+)
+def test_validation_matches_the_per_edge_loop(p, q, edges, labels):
+    want, why = _outcome(lambda: _validated_per_edge(p, q, edges, labels))
+    got, what = _outcome(lambda: SignedBipartiteGraph(p, q, edges, labels))
+    assert got == want
+    if got == "accepted":
+        assert (what.edges, what.block_labels) == why
+    elif len(edges) <= 1:
+        # with several bad entries the two may name different ones first
+        assert what == why

@@ -13,7 +13,6 @@ from sdegree import (
     Sign,
     SignedBipartiteGraph,
     degree_vectors,
-    flip_signs,
     is_connected,
     join_all_positive,
     realize_negative_set,
@@ -25,7 +24,7 @@ from sdegree import (
 from sdegree import realize as realize_module
 from sdegree.textio import emit_graph
 
-from .conftest import acceptance_targets
+from .conftest import acceptance_targets, flipped
 
 
 class TestRealizePositiveSet:
@@ -76,7 +75,7 @@ class TestRealizeNegativeSet:
     def test_is_the_flipped_mirror(self):
         report = realize_negative_set({-2, -5})
         mirrored = realize_positive_set({2, 5})
-        assert report.graph == flip_signs(mirrored.graph)
+        assert report.graph == flipped(mirrored.graph)
         assert report.block_sizes == mirrored.block_sizes
         assert signed_degree_set(report.graph) == {-2, -5}
 
@@ -102,51 +101,85 @@ def test_realize_zero_set_is_the_alternating_square():
     assert is_connected(report.graph)
 
 
+def _piece(target):
+    """The layout realize_set builds for ``target``, and its graph."""
+    layout = realize_module._build(frozenset(target))[0]
+    return layout, realize_module._graph(layout)
+
+
+def _shifted(rect, du, dv):
+    xs, ys, sign = rect
+    return range(xs.start + du, xs.stop + du), range(ys.start + dv, ys.stop + dv), sign
+
+
 class TestAttachZeroGadget:
     def test_adds_four_zero_vertices_and_moves_nothing(self):
-        base = realize_positive_set({2, 3}).graph
-        du, dv = degree_vectors(base)
+        base, base_graph = _piece({2, 3})
         grown = realize_module._attach_zero_gadget(base, 0, 0)
-        gu, gv = degree_vectors(grown)
+        assert grown.rects == base.rects  # the gadget adds single edges only
+        assert len(grown.singles) == len(base.singles) + 6
+        grown_graph = realize_module._graph(grown)
+        du, dv = degree_vectors(base_graph)
+        gu, gv = degree_vectors(grown_graph)
         assert (grown.p, grown.q) == (base.p + 2, base.q + 2)
         assert gu[: base.p] == du and gv[: base.q] == dv
         assert gu[base.p :] == [0, 0] and gv[base.q :] == [0, 0]
-        assert is_connected(grown)
+        assert is_connected(grown_graph)
 
     def test_labels_the_new_vertices(self):
-        grown = realize_module._attach_zero_gadget(realize_positive_set({1}).graph, 0, 0)
-        assert grown.block_labels[("u", 1)] == "x_1"
-        assert grown.block_labels[("u", 2)] == "x_2"
-        assert grown.block_labels[("v", 1)] == "y_1"
-        assert grown.block_labels[("v", 2)] == "y_2"
+        base, _ = _piece({1})
+        grown = realize_module._attach_zero_gadget(base, 0, 0)
+        assert grown.labels[len(base.labels) :] == [
+            ("u", range(1, 2), "x_1"),
+            ("u", range(2, 3), "x_2"),
+            ("v", range(1, 2), "y_1"),
+            ("v", range(2, 3), "y_2"),
+        ]
+        labels = realize_module._graph(grown).block_labels
+        assert labels[("u", 1)] == "x_1"
+        assert labels[("u", 2)] == "x_2"
+        assert labels[("v", 1)] == "y_1"
+        assert labels[("v", 2)] == "y_2"
 
 
 class TestBridges:
     def test_bridge_mixed_preserves_piece_degrees(self):
-        g1 = realize_positive_set({1, 3}).graph
-        g2 = realize_negative_set({-2}).graph
+        g1, graph1 = _piece({1, 3})
+        g2, graph2 = _piece({-2})
         merged = realize_module._bridge_mixed(g1, g1, g2, g2)
-        du, dv = degree_vectors(merged)
-        d1u, d1v = degree_vectors(g1)
-        d2u, d2v = degree_vectors(g2)
+        # each piece's rectangles, offset by the part sizes before it
+        n1 = len(g1.rects)
+        assert merged.rects[:n1] == g1.rects
+        assert merged.rects[n1 : 2 * n1] == [_shifted(r, g1.p, g1.q) for r in g1.rects]
+        assert merged.rects[2 * n1 :] == [
+            _shifted(r, 2 * g1.p + k * g2.p, 2 * g1.q + k * g2.q) for k in (0, 1) for r in g2.rects
+        ]
+        assert len(merged.singles) == 4
+        graph = realize_module._graph(merged)
+        du, dv = degree_vectors(graph)
+        d1u, d1v = degree_vectors(graph1)
+        d2u, d2v = degree_vectors(graph2)
         assert du == d1u + d1u + d2u + d2u
         assert dv == d1v + d1v + d2v + d2v
-        assert is_connected(merged)
-        assert signed_degree_set(merged) == {1, 3, -2}
+        assert is_connected(graph)
+        assert signed_degree_set(graph) == {1, 3, -2}
 
     def test_bridge_mixed_zero_adds_two_zero_vertices(self):
-        g1 = realize_positive_set({2}).graph
-        g2 = realize_negative_set({-1, -3}).graph
+        g1, graph1 = _piece({2})
+        g2, graph2 = _piece({-1, -3})
         merged = realize_module._bridge_with_zero(g1, g2)
-        du, dv = degree_vectors(merged)
-        d1u, d1v = degree_vectors(g1)
-        d2u, d2v = degree_vectors(g2)
+        assert merged.rects == g1.rects + [_shifted(r, g1.p, g1.q) for r in g2.rects]
+        assert all(sign is Sign.NEGATIVE for _, _, sign in merged.rects[len(g1.rects) :])
+        graph = realize_module._graph(merged)
+        du, dv = degree_vectors(graph)
+        d1u, d1v = degree_vectors(graph1)
+        d2u, d2v = degree_vectors(graph2)
         assert du == d1u + d2u + [0]
         assert dv == d1v + d2v + [0]
-        assert merged.block_labels[("u", merged.p - 1)] == "x"
-        assert merged.block_labels[("v", merged.q - 1)] == "y"
-        assert is_connected(merged)
-        assert signed_degree_set(merged) == {2, -1, -3, 0}
+        assert graph.block_labels[("u", graph.p - 1)] == "x"
+        assert graph.block_labels[("v", graph.q - 1)] == "y"
+        assert is_connected(graph)
+        assert signed_degree_set(graph) == {2, -1, -3, 0}
 
 
 CASES = [
@@ -251,6 +284,9 @@ def test_positive_construction_matches_blockwise_joins(target):
     assert realize_positive_set(target).graph == _paper_block_graph(target)
 
 
+WIDE_TARGETS = [range(1, 41), range(-30, 31), (1, 200), (-120, 0, 90)]
+
+
 def _emit_digest(targets) -> str:
     h = hashlib.sha256()
     for target in targets:
@@ -265,10 +301,16 @@ def test_emitted_graphs_match_recorded_digests():
     assert _emit_digest(acceptance_targets()) == (
         "060a43c56de3fd4fe9f3b359dc788af567611d7e3fc357c77b52c02749229576"
     )
-    wide = [range(1, 41), range(-30, 31), (1, 200), (-120, 0, 90)]
-    assert _emit_digest(wide) == (
+    assert _emit_digest(WIDE_TARGETS) == (
         "98db285011574906bc8e90a6567b50ff061a52d67afaac677df0bb13a920bd7b"
     )
+
+
+def test_layout_knows_its_edge_count_before_any_edge_exists():
+    for target in acceptance_targets() + WIDE_TARGETS:
+        layout = realize_module._build(frozenset(target))[0]
+        planned = sum(len(xs) * len(ys) for xs, ys, _ in layout.rects) + len(layout.singles)
+        assert planned == len(realize_set(target).graph.edges), sorted(target)
 
 
 @pytest.mark.parametrize("target, case", CASES)
