@@ -9,8 +9,7 @@ as immutable; every operation that "changes" a graph returns a new one.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from itertools import repeat
 
 __all__ = [
@@ -34,29 +33,38 @@ class Sign(enum.Enum):
         return "+" if self is Sign.POSITIVE else "-"
 
 
-@dataclass(eq=False)
 class SignedBipartiteGraph:
     """Simple bipartite graph with parts U (size p) and V (size q).
 
-    Edges join U to V only and are keyed by (u_index, v_index), 0-based.
+    Edges join U to V only and are keyed by (u_index, v_index), 0-based: a
+    key must be a 2-tuple of ints.
     ``block_labels`` optionally tags vertices (keys ("u", i) or ("v", j))
     with the name of the construction block that produced them; labels are
     metadata and never participate in equality.
     """
 
-    p: int
-    q: int
-    edges: dict[tuple[int, int], Sign] = field(default_factory=dict)
-    block_labels: dict[tuple[str, int], str] = field(default_factory=dict)
+    def __init__(
+        self,
+        p: int,
+        q: int,
+        edges: Mapping[tuple[int, int], Sign] = {},  # copied, never mutated
+        block_labels: Mapping[tuple[str, int], str] = {},
+    ) -> None:
+        self.p = p
+        self.q = q
+        self.edges = edges
+        self.block_labels = block_labels
+        # perfbench/tracing.py times this step as core.verify by its name
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Copy both dicts and validate them; nothing is re-inserted."""
         p, q = self.p, self.q
         if p < 0 or q < 0:
             raise ValueError(f"part sizes must be non-negative, got p={p}, q={q}")
         self.edges = edges = dict(self.edges)
-        for u, v in edges:
-            if not (0 <= u < p and 0 <= v < q):
-                raise ValueError(f"edge ({u}, {v}) out of range for p={p}, q={q}")
+        if not _vertex_pairs(edges, p, q):
+            raise ValueError(_first_bad_key(edges, p, q))
         if not all(map(isinstance, edges.values(), repeat(Sign))):
             (u, v), sign = next(item for item in edges.items() if not isinstance(item[1], Sign))
             raise ValueError(f"edge ({u}, {v}) carries a non-sign value {sign!r}")
@@ -70,6 +78,40 @@ class SignedBipartiteGraph:
         if not isinstance(other, SignedBipartiteGraph):
             return NotImplemented
         return (self.p, self.q) == (other.p, other.q) and self.edges == other.edges
+
+    def __repr__(self) -> str:
+        return (
+            f"SignedBipartiteGraph(p={self.p!r}, q={self.q!r}, "
+            f"edges={self.edges!r}, block_labels={self.block_labels!r})"
+        )
+
+
+def _vertex_pairs(keys: Iterable, p: int, q: int) -> bool:
+    """True when every key is a 2-tuple (u, v) of ints with 0 <= u < p and
+    0 <= v < q: one C-level pass over the key types, then the one loop that
+    unpacks and range-checks."""
+    if not all(map(isinstance, keys, repeat(tuple))):
+        return False
+    try:
+        for u, v in keys:
+            # u | v is negative when u or v is, and raises TypeError unless
+            # both are integers
+            if not (u < p and v < q and (u | v) >= 0):
+                return False
+    except (TypeError, ValueError):  # not integers, or not a pair
+        return False
+    return True
+
+
+def _first_bad_key(keys: Iterable, p: int, q: int) -> str:
+    """The error message for the first key ``_vertex_pairs`` refuses."""
+    for key in keys:
+        if not (isinstance(key, tuple) and len(key) == 2 and all(isinstance(i, int) for i in key)):
+            return f"edge key {key!r} is not a pair of ints"
+        u, v = key
+        if not (0 <= u < p and 0 <= v < q):
+            return f"edge ({u}, {v}) out of range for p={p}, q={q}"
+    return "edge keys must be pairs of ints"
 
 
 def degree_vectors(g: SignedBipartiteGraph) -> tuple[list[int], list[int]]:

@@ -23,7 +23,6 @@ module.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import chain, product, repeat
 from typing import NamedTuple
 
@@ -48,8 +47,7 @@ _POS, _NEG = Sign.POSITIVE, Sign.NEGATIVE
 _FLIPPED = {_POS: _NEG, _NEG: _POS}
 
 
-@dataclass
-class RealizationReport:
+class RealizationReport(NamedTuple):
     """A constructed graph plus the construction case that produced it and
     the sizes of its building blocks."""
 

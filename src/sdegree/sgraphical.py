@@ -20,14 +20,19 @@ argument check is a single C-level pass.  Orientation and the pivot run as
 private helpers on plain lists, so no state object is built per step; the
 public normalize_standard and choose_m are the same helpers behind their
 own argument handling.
+
+The normal forms Standard, AllZero and NotStandard are named tuples: each
+compares equal to the plain tuple of its fields, so ``AllZero() == ()`` and,
+like every empty tuple, ``AllZero()`` is falsy.  Tell them apart with
+isinstance.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import add, ge
+from typing import NamedTuple
 
 __all__ = [
     "Standard",
@@ -42,21 +47,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Standard:
+class Standard(NamedTuple):
     """Normalised sequence meeting every standard condition."""
 
     values: tuple[int, ...]
     negated: bool
 
 
-@dataclass(frozen=True)
-class AllZero:
+class AllZero(NamedTuple):
     """All entries zero (or no entries): realized by the edgeless graph."""
 
 
-@dataclass(frozen=True)
-class NotStandard:
+class NotStandard(NamedTuple):
     """No orientation is standard; ``reason`` names the violated condition."""
 
     reason: str

@@ -7,11 +7,23 @@ Edge-list format, newline-terminated:
     # u<i> <tag>        optional trailing block-label comments
 
 Emitting, parsing, and emitting again reproduces the text byte for byte.
+
+Both emitters build each edge line from two strings made once per touched
+vertex: a prefix for the U end and, for each sign, a suffix for the V end.
+``parse_graph`` reads a canonical document, exactly what ``emit_graph``
+writes, in bulk: one regular-expression match checks the whole text, and
+the edges come from one pass over its edge lines.  Any other text (other
+spacing, CRLF line ends, comments or labels between edges, a missing final
+newline) and any canonical text the graph refuses (an index out of range,
+a duplicate edge) goes to the line-by-line parser, the one source of
+``ParseError`` messages.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
+from operator import itemgetter
 
 from .core import Sign, SignedBipartiteGraph, degree_vectors
 
@@ -29,20 +41,43 @@ class ParseError(ValueError):
 _HEADER_RE = re.compile(r"sbg\s+(\d+)\s+(\d+)")
 _EDGE_RE = re.compile(r"u(\d+)\s+v(\d+)\s+([+-])")
 _LABEL_RE = re.compile(r"#\s+([uv])(\d+)\s+(\S+)")
-_SIGN_TEXT = {Sign.POSITIVE: "+", Sign.NEGATIVE: "-"}
-_DOT_STYLE = {Sign.POSITIVE: "solid", Sign.NEGATIVE: "dashed"}
+# What emit_graph writes.  Possessive repeats keep no backtracking state
+# per line, so checking a long document takes no memory per edge.
+_CANONICAL_RE = re.compile(
+    r"sbg (\d++) (\d++)\n"
+    r"((?:u\d++ v\d++ [+-]\n)*+)"
+    r"((?:# [uv]\d++ \S++\n)*+)"
+)
+_CANONICAL_EDGE_RE = re.compile(r"u(\d++) v(\d++) ([+-])\n")
+_CANONICAL_LABEL_RE = re.compile(r"# ([uv])(\d++) (\S++)\n")
+_SIGN_OF = {"+": Sign.POSITIVE, "-": Sign.NEGATIVE}
 
 
-def _sorted_edges(g: SignedBipartiteGraph):
-    """(key, sign) pairs in key order; only the keys are sorted."""
-    keys = sorted(g.edges)
-    return zip(keys, map(g.edges.__getitem__, keys))
+def _numbered(template: str, indices: Iterable[int]) -> dict[int, str]:
+    """``template`` filled with i + 1, for each distinct index i."""
+    return {i: template.format(i + 1) for i in set(indices)}
+
+
+def _edge_lines(g: SignedBipartiteGraph, head: str, plus: str, minus: str) -> list[str]:
+    """One line per edge in key order: the U end's ``head`` string followed
+    by the V end's ``plus`` or ``minus`` string.  Those are formatted once per
+    touched vertex, so no index is formatted and no Sign is hashed per edge."""
+    edges = g.edges
+    keys = sorted(edges)
+    heads = _numbered(head, map(itemgetter(0), keys))
+    vs = set(map(itemgetter(1), keys))
+    pos, neg = _numbered(plus, vs), _numbered(minus, vs)
+    positive = Sign.POSITIVE
+    return [
+        heads[u] + (pos if sign is positive else neg)[v]
+        for (u, v), sign in zip(keys, map(edges.__getitem__, keys))
+    ]
 
 
 def emit_graph(g: SignedBipartiteGraph) -> str:
     """Serialize to the edge-list format; deterministic for equal graphs."""
     lines = [f"sbg {g.p} {g.q}"]
-    lines += [f"u{u + 1} v{v + 1} {_SIGN_TEXT[sign]}" for (u, v), sign in _sorted_edges(g)]
+    lines += _edge_lines(g, "u{} v", "{} +", "{} -")
     for (part, idx), tag in sorted(g.block_labels.items(), key=lambda kv: (kv[0][0] != "u", kv[0][1])):
         lines.append(f"# {part}{idx + 1} {tag}")
     return "\n".join(lines) + "\n"
@@ -56,6 +91,26 @@ def parse_graph(text: str) -> SignedBipartiteGraph:
     Comment lines carrying block labels are restored; other comments and
     blank lines are ignored.
     """
+    doc = _CANONICAL_RE.fullmatch(text)
+    if doc is not None:
+        edge_span, label_span = doc.span(3), doc.span(4)
+        try:
+            edges = {
+                (int(u) - 1, int(v) - 1): _SIGN_OF[sign]
+                for u, v, sign in map(re.Match.groups, _CANONICAL_EDGE_RE.finditer(text, *edge_span))
+            }
+            if len(edges) == text.count("\n", *edge_span):  # else a line repeats an edge
+                labels = {
+                    (part, int(idx) - 1): tag
+                    for part, idx, tag in map(re.Match.groups, _CANONICAL_LABEL_RE.finditer(text, *label_span))
+                }
+                return SignedBipartiteGraph(int(doc[1]), int(doc[2]), edges, labels)
+        except ValueError:  # the graph refused an index; the line parser says which line
+            pass
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> SignedBipartiteGraph:
     p = q = None
     edges: dict[tuple[int, int], Sign] = {}
     label_lines: list[tuple[int, str, int, str]] = []
@@ -113,6 +168,6 @@ def emit_dot(g: SignedBipartiteGraph) -> str:
     for j in range(g.q):
         lines.append(f'    v{j + 1} [label="v{j + 1} [sdeg={dv[j]}]"];')
     lines.append("  }")
-    lines += [f"  u{u + 1} -- v{v + 1} [style={_DOT_STYLE[sign]}];" for (u, v), sign in _sorted_edges(g)]
+    lines += _edge_lines(g, "  u{} -- v", "{} [style=solid];", "{} [style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"

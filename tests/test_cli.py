@@ -1,8 +1,12 @@
 import io
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sdegree
 from sdegree import connected_degree_sets, parse_graph
 from sdegree.cli import cli_main
 
@@ -206,3 +210,16 @@ def test_main_raises_system_exit(monkeypatch, capsys):
         cli.main()
     assert excinfo.value.code == 0
     assert capsys.readouterr().out == "s-graphical: true\n"
+
+
+def test_import_loads_no_dataclasses():
+    # every CLI process pays for what importing the package loads; -S keeps
+    # site hooks from loading modules of their own
+    src = str(Path(sdegree.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    script = "import sys, sdegree; print('dataclasses' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]

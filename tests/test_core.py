@@ -180,7 +180,10 @@ def _validated_per_edge(p, q, edges, labels):
     if p < 0 or q < 0:
         raise ValueError(f"part sizes must be non-negative, got p={p}, q={q}")
     checked = {}
-    for (u, v), sign in edges.items():
+    for key, sign in edges.items():
+        if not (isinstance(key, tuple) and len(key) == 2 and all(isinstance(i, int) for i in key)):
+            raise ValueError(f"edge key {key!r} is not a pair of ints")
+        u, v = key
         if not (0 <= u < p and 0 <= v < q):
             raise ValueError(f"edge ({u}, {v}) out of range for p={p}, q={q}")
         if not isinstance(sign, Sign):
@@ -205,8 +208,11 @@ _keys = st.one_of(
     st.tuples(_index, _index),
     st.tuples(_index),
     st.tuples(_index, _index, _index),
+    st.tuples(_index, st.booleans()),
+    st.tuples(st.floats(-1, 4), _index),
     st.integers(0, 3),
     st.text(max_size=3),
+    st.binary(min_size=2, max_size=2),
     st.none(),
 )
 _values = st.one_of(
@@ -243,3 +249,19 @@ def test_validation_matches_the_per_edge_loop(p, q, edges, labels):
     elif len(edges) <= 1:
         # with several bad entries the two may name different ones first
         assert what == why
+
+
+@pytest.mark.parametrize(
+    "key",
+    [b"\x00\x01", (0.0, 1.0), "01"],
+    ids=["bytes", "floats", "str"],
+)
+def test_edge_keys_must_be_pairs_of_ints(key):
+    # each of these unpacks into two values that index or compare like ints
+    with pytest.raises(ValueError, match="is not a pair of ints"):
+        SignedBipartiteGraph(1, 2, {key: Sign.POSITIVE, (0, 0): Sign.NEGATIVE})
+
+
+def test_edge_keys_accept_int_subclasses():
+    g = SignedBipartiteGraph(2, 2, {(True, False): Sign.POSITIVE})
+    assert g == SignedBipartiteGraph(2, 2, {(1, 0): Sign.POSITIVE})

@@ -22,7 +22,7 @@ from sdegree import (
     signed_degree_set,
 )
 from sdegree import realize as realize_module
-from sdegree.textio import emit_graph
+from sdegree.textio import emit_dot, emit_graph
 
 from .conftest import acceptance_targets, flipped
 
@@ -287,10 +287,10 @@ def test_positive_construction_matches_blockwise_joins(target):
 WIDE_TARGETS = [range(1, 41), range(-30, 31), (1, 200), (-120, 0, 90)]
 
 
-def _emit_digest(targets) -> str:
+def _emit_digest(targets, emit=emit_graph) -> str:
     h = hashlib.sha256()
     for target in targets:
-        h.update(emit_graph(realize_set(target).graph).encode())
+        h.update(emit(realize_set(target).graph).encode())
     return h.hexdigest()
 
 
@@ -303,6 +303,18 @@ def test_emitted_graphs_match_recorded_digests():
     )
     assert _emit_digest(WIDE_TARGETS) == (
         "98db285011574906bc8e90a6567b50ff061a52d67afaac677df0bb13a920bd7b"
+    )
+
+
+def test_dot_output_matches_recorded_digests():
+    """SHA-256 of the concatenated emit_dot text, recorded from the emitter
+    that formatted every edge line on its own, so DOT output stays identical
+    byte for byte too."""
+    assert _emit_digest(acceptance_targets(), emit_dot) == (
+        "e9a1d9bca9538b8c5421c1ed674796e5c5a9d61ce9e62db155a8f836472c228c"
+    )
+    assert _emit_digest(WIDE_TARGETS, emit_dot) == (
+        "a3f2d3a6f11829975963a4dfd7ce09152d3dd4c7edab107a449e8c5490fef29a"
     )
 
 
