@@ -1,25 +1,29 @@
 """
-Cross-checking the fast deciders against exhaustive enumeration
-===============================================================
+Cross-checking the fast deciders against the exhaustive oracles
+================================================================
 
-At small sizes every labelled signed graph can simply be listed: each vertex
-pair holds one of {absent, +, -}.  That brute-force oracle is slow but
-unarguable, which makes it the referee for the reduction-based deciders.
+At small sizes every labelled signed graph can be accounted for: each vertex
+pair holds one of {absent, +, -}.  The oracles know the degree sequence of
+every one of them, from a census that grows graphs one vertex at a time and
+merges vertices of equal degree, so it never lists the 3**slots graphs
+themselves.  They are unarguable, which makes them the referees for the
+reduction-based deciders.
 """
 
 import itertools
 
 from sdegree import (
+    MAX_ORACLE_SLOTS,
+    MAX_ORACLE_VERTICES,
     connected_degree_sets,
-    enumerate_signed_bipartite,
     is_bipartite_s_graphical,
     is_s_graphical_branching,
     oracle_bipartite,
     oracle_s_graphical,
 )
 
-# Space sizes grow as 3**slots; the guards keep requests desk-sized.
-print(f"signed bipartite graphs on 2+2: {sum(1 for _ in enumerate_signed_bipartite(2, 2))}")
+# The size guards keep requests to about a second each.
+print(f"oracle guards: n <= {MAX_ORACLE_VERTICES} vertices, p*q <= {MAX_ORACLE_SLOTS} slots")
 print()
 
 # Referee the general decider over every sequence on 4 vertices with

@@ -8,95 +8,77 @@ What lives here:
   integer sequence is the signed degree sequence of some signed graph;
 - is_bipartite_s_graphical and gale_ryser: the bipartite analogues, signed
   and unsigned;
-- exhaustive oracles that enumerate every small graph, used to cross-check
-  all of the above;
+- oracles that know every degree sequence of every small graph, from a
+  census grown one vertex at a time, used to cross-check all of the above;
 - a plain-text edge-list format, DOT export, and a command line front end
   (the ``sdegree`` script, or ``python -m sdegree``).
-"""
 
-from .bipartite import (
-    gale_ryser,
-    is_bipartite_s_graphical,
-    is_standard_pair,
-    reduce_pair,
-)
-from .cli import cli_main
-from .core import (
-    Sign,
-    SignedBipartiteGraph,
-    degree_vectors,
-    is_connected,
-    join_all_positive,
-    signed_degree_sequences,
-    signed_degree_set,
-)
-from .oracle import (
-    MAX_ORACLE_SLOTS,
-    MAX_ORACLE_VERTICES,
-    OracleLimitError,
-    connected_degree_sets,
-    enumerate_signed_bipartite,
-    oracle_bipartite,
-    oracle_s_graphical,
-)
-from .realize import (
-    RealizationReport,
-    realize_negative_set,
-    realize_positive_set,
-    realize_set,
-    realize_zero_set,
-)
-from .sgraphical import (
-    AllZero,
-    NormalForm,
-    NotStandard,
-    Standard,
-    choose_m,
-    is_s_graphical_branching,
-    is_s_graphical_deterministic,
-    normalize_standard,
-    reduce_hakimi,
-)
-from .textio import ParseError, emit_dot, emit_graph, parse_graph
+Importing the package loads none of its modules.  Each public name loads its
+module on first use (PEP 562), so a process pays only for what it touches.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllZero",
-    "MAX_ORACLE_SLOTS",
-    "MAX_ORACLE_VERTICES",
-    "NormalForm",
-    "NotStandard",
-    "OracleLimitError",
-    "ParseError",
-    "RealizationReport",
-    "Sign",
-    "SignedBipartiteGraph",
-    "Standard",
-    "choose_m",
-    "cli_main",
-    "connected_degree_sets",
-    "degree_vectors",
-    "emit_dot",
-    "emit_graph",
-    "enumerate_signed_bipartite",
-    "gale_ryser",
-    "is_bipartite_s_graphical",
-    "is_connected",
-    "is_s_graphical_branching",
-    "is_s_graphical_deterministic",
-    "is_standard_pair",
-    "join_all_positive",
-    "normalize_standard",
-    "oracle_bipartite",
-    "oracle_s_graphical",
-    "parse_graph",
-    "realize_negative_set",
-    "realize_positive_set",
-    "realize_set",
-    "realize_zero_set",
-    "reduce_hakimi",
-    "reduce_pair",
-    "signed_degree_sequences",
-    "signed_degree_set",
-]
+# Each public name, with the module that defines it.
+_MODULE_OF = {
+    "gale_ryser": "bipartite",
+    "is_bipartite_s_graphical": "bipartite",
+    "is_standard_pair": "bipartite",
+    "reduce_pair": "bipartite",
+    "cli_main": "cli",
+    "Sign": "core",
+    "SignedBipartiteGraph": "core",
+    "degree_vectors": "core",
+    "is_connected": "core",
+    "join_all_positive": "core",
+    "signed_degree_sequences": "core",
+    "signed_degree_set": "core",
+    "MAX_ORACLE_SLOTS": "oracle",
+    "MAX_ORACLE_VERTICES": "oracle",
+    "OracleLimitError": "oracle",
+    "connected_degree_sets": "oracle",
+    "oracle_bipartite": "oracle",
+    "oracle_s_graphical": "oracle",
+    "RealizationReport": "realize",
+    "realize_negative_set": "realize",
+    "realize_positive_set": "realize",
+    "realize_set": "realize",
+    "realize_zero_set": "realize",
+    "AllZero": "sgraphical",
+    "NormalForm": "sgraphical",
+    "NotStandard": "sgraphical",
+    "Standard": "sgraphical",
+    "choose_m": "sgraphical",
+    "is_s_graphical_branching": "sgraphical",
+    "is_s_graphical_deterministic": "sgraphical",
+    "normalize_standard": "sgraphical",
+    "reduce_hakimi": "sgraphical",
+    "ParseError": "textio",
+    "emit_dot": "textio",
+    "emit_graph": "textio",
+    "parse_graph": "textio",
+}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def _lazy_getattr(namespace: dict, package: str, module_of: dict):
+    """A module ``__getattr__`` that imports ``package.<module_of[name]>`` on
+    the first lookup of ``name`` and binds the value in ``namespace``, so
+    later lookups, and replacements set on the module, bypass it."""
+
+    def __getattr__(name: str):
+        if name not in module_of:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        module = __import__(f"{package}.{module_of[name]}", fromlist=[name])
+        value = namespace[name] = getattr(module, name)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _lazy_getattr(globals(), __name__, _MODULE_OF)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()).union(__all__))

@@ -2,8 +2,8 @@
 
 Subcommands: realize, check-seq, check-pair, gale-ryser, degree-set,
 enumerate.  Exit codes: 0 success, 1 usage or input errors, 2 when a size
-limit is exceeded: an exhaustive-enumeration size guard, or a set element
-or declared part size above sys.maxsize, which cannot size a list or range.
+limit is exceeded: an oracle size guard, or a set element or declared part
+size above sys.maxsize, which cannot size a list or range.
 Output is deterministic: identical argv always produces identical stdout.
 """
 
@@ -12,21 +12,31 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from pathlib import Path
 
-from .bipartite import gale_ryser, is_bipartite_s_graphical
-from .core import is_connected, signed_degree_set
-from .oracle import (
-    OracleLimitError,
-    connected_degree_sets,
-    oracle_bipartite,
-    oracle_s_graphical,
-)
-from .realize import realize_set
-from .sgraphical import is_s_graphical_branching, is_s_graphical_deterministic
-from .textio import ParseError, emit_dot, emit_graph, parse_graph
+from . import _lazy_getattr
 
 __all__ = ["cli_main", "main"]
+
+# The library names the commands call, with the module of each.  A name loads
+# its module on first use and is then bound here, so a command imports only
+# what it calls, and a replacement set on this module takes effect.
+_MODULE_OF = {
+    "realize_set": "realize",
+    "emit_graph": "textio",
+    "emit_dot": "textio",
+    "parse_graph": "textio",
+    "signed_degree_set": "core",
+    "is_connected": "core",
+    "is_s_graphical_branching": "sgraphical",
+    "is_s_graphical_deterministic": "sgraphical",
+    "is_bipartite_s_graphical": "bipartite",
+    "gale_ryser": "bipartite",
+    "oracle_s_graphical": "oracle",
+    "oracle_bipartite": "oracle",
+    "connected_degree_sets": "oracle",
+}
+__getattr__ = _lazy_getattr(globals(), __package__, _MODULE_OF)
+_lib = sys.modules[__name__]  # the commands call the library through this
 
 
 class _UsageError(Exception):
@@ -71,54 +81,67 @@ def _word(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _write(path: str, text: str) -> None:
+    # plain open(), not pathlib, which would add to every process's start-up
+    with open(path, "w") as out:
+        out.write(text)
+
+
 def _cmd_realize(args) -> int:
     targets = _ints(args.set)
     for x in targets:
         _sizable(x, "set element")
-    report = realize_set(targets)
+    report = _lib.realize_set(targets)
     graph = report.graph
     print(f"case: {report.case_used}")
     print(f"|U|={graph.p} |V|={graph.q}")
     if args.out:
-        Path(args.out).write_text(emit_graph(graph))
+        _write(args.out, _lib.emit_graph(graph))
     if args.dot:
-        Path(args.dot).write_text(emit_dot(graph))
+        _write(args.dot, _lib.emit_dot(graph))
     return 0
 
 
+_SEQUENCE_DECIDERS = {
+    "branching": "is_s_graphical_branching",
+    "deterministic": "is_s_graphical_deterministic",
+    "oracle": "oracle_s_graphical",
+}
+
+
 def _cmd_check_seq(args) -> int:
-    decide = {
-        "branching": is_s_graphical_branching,
-        "deterministic": is_s_graphical_deterministic,
-        "oracle": oracle_s_graphical,
-    }[args.method]
+    decide = getattr(_lib, _SEQUENCE_DECIDERS[args.method])
     print(f"s-graphical: {_word(decide(_ints(args.seq)))}")
     return 0
 
 
 def _cmd_check_pair(args) -> int:
-    decide = is_bipartite_s_graphical if args.method == "reduction" else oracle_bipartite
+    decide = _lib.is_bipartite_s_graphical if args.method == "reduction" else _lib.oracle_bipartite
     print(f"s-graphical: {_word(decide(_ints(args.alpha), _ints(args.beta)))}")
     return 0
 
 
 def _cmd_gale_ryser(args) -> int:
-    print(f"graphical: {_word(gale_ryser(_ints(args.d), _ints(args.e)))}")
+    print(f"graphical: {_word(_lib.gale_ryser(_ints(args.d), _ints(args.e)))}")
     return 0
 
 
 def _cmd_degree_set(args) -> int:
-    text = sys.stdin.read() if args.infile == "-" else Path(args.infile).read_text()
-    graph = parse_graph(text)
+    if args.infile == "-":
+        text = sys.stdin.read()
+    else:
+        with open(args.infile) as infile:
+            text = infile.read()
+    graph = _lib.parse_graph(text)
     _sizable(graph.p, "part size")
     _sizable(graph.q, "part size")
-    print("degree set: " + ",".join(str(x) for x in sorted(signed_degree_set(graph))))
-    print(f"connected: {_word(is_connected(graph))}")
+    print("degree set: " + ",".join(str(x) for x in sorted(_lib.signed_degree_set(graph))))
+    print(f"connected: {_word(_lib.is_connected(graph))}")
     return 0
 
 
 def _cmd_enumerate(args) -> int:
-    for degree_set in connected_degree_sets(args.p, args.q):
+    for degree_set in _lib.connected_degree_sets(args.p, args.q):
         print(",".join(str(x) for x in degree_set))
     return 0
 
@@ -137,9 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check_seq = sub.add_parser("check-seq", help="decide a signed degree sequence")
     check_seq.add_argument("--seq", required=True, help="comma-separated integers")
-    check_seq.add_argument(
-        "--method", choices=("branching", "deterministic", "oracle"), default="branching"
-    )
+    check_seq.add_argument("--method", choices=tuple(_SEQUENCE_DECIDERS), default="branching")
     check_seq.set_defaults(func=_cmd_check_seq)
 
     check_pair = sub.add_parser(
@@ -175,6 +196,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _size_limited(exc: Exception) -> bool:
+    # An oracle guard can only have fired once the oracle module is loaded.
+    oracle = sys.modules.get(f"{__package__}.oracle")
+    return isinstance(exc, _SizeLimitError) or (
+        oracle is not None and isinstance(exc, oracle.OracleLimitError)
+    )
+
+
 def cli_main(argv: list[str] | None = None) -> int:
     """Run one command and return the process exit code (never exits itself)."""
     try:
@@ -184,12 +213,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except (OracleLimitError, _SizeLimitError) as exc:
+    except (_SizeLimitError, ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if _size_limited(exc) else 1
 
 
 def main() -> None:

@@ -39,8 +39,9 @@ class SignedBipartiteGraph:
     Edges join U to V only and are keyed by (u_index, v_index), 0-based: a
     key must be a 2-tuple of ints.
     ``block_labels`` optionally tags vertices (keys ("u", i) or ("v", j))
-    with the name of the construction block that produced them; labels are
-    metadata and never participate in equality.
+    with the name of the construction block that produced them, a nonempty
+    string without whitespace; labels are metadata and never participate in
+    equality.
     """
 
     def __init__(
@@ -60,6 +61,8 @@ class SignedBipartiteGraph:
     def __post_init__(self) -> None:
         """Copy both dicts and validate them; nothing is re-inserted."""
         p, q = self.p, self.q
+        if not (isinstance(p, int) and isinstance(q, int)):
+            raise ValueError(f"part sizes must be ints, got p={p!r}, q={q!r}")
         if p < 0 or q < 0:
             raise ValueError(f"part sizes must be non-negative, got p={p}, q={q}")
         self.edges = edges = dict(self.edges)
@@ -69,10 +72,13 @@ class SignedBipartiteGraph:
             (u, v), sign = next(item for item in edges.items() if not isinstance(item[1], Sign))
             raise ValueError(f"edge ({u}, {v}) carries a non-sign value {sign!r}")
         self.block_labels = labels = dict(self.block_labels)
-        for part, idx in labels:
+        for (part, idx), tag in labels.items():
             size = p if part == "u" else q if part == "v" else -1
             if not 0 <= idx < size:
                 raise ValueError(f"label key ({part!r}, {idx}) does not name a vertex")
+            # the edge-list format writes a tag as one whitespace-free word
+            if not (isinstance(tag, str) and tag.split() == [tag]):
+                raise ValueError(f"label tag {tag!r} of ({part!r}, {idx}) is not one word")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SignedBipartiteGraph):

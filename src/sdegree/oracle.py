@@ -1,88 +1,86 @@
-"""Exhaustive enumeration of small signed graphs as ground truth.
+"""Ground truth for small signed graphs, from a census of each size.
 
 Every vertex pair (or U x V pair) is a slot holding one of absent, positive,
-negative, so a size has exactly 3**slots labelled graphs.  Degree membership
-queries are answered from a memoised census of the whole space; the census
-is cheap at the guarded sizes and makes bulk cross-checks practical.
+negative, so a size has 3**slots labelled graphs.  The census of a size is
+the set of sorted signed degree sequences those graphs have.  It is not found
+by listing them.  A graph grows one vertex at a time, and all the later
+vertices can see of it is the multiset of degrees so far.  Vertices of equal
+degree are interchangeable, so the new vertex only picks, for each run of
+equal degrees, how many members it joins positively and how many
+negatively.  The census is memoised per size, so bulk cross-checks pay for it
+once.  ``connected_degree_sets`` grows U x V graphs the same way and also
+tracks which U vertices share a component.
+
+The exhaustive enumeration of every labelled graph, which defines what the
+censuses must hold, lives in the test suite and checks them at small sizes.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from functools import lru_cache
-
-from .core import Sign, SignedBipartiteGraph, is_connected, signed_degree_set
+from itertools import groupby, product
 
 __all__ = [
     "OracleLimitError",
     "MAX_ORACLE_VERTICES",
     "MAX_ORACLE_SLOTS",
-    "enumerate_signed_bipartite",
     "oracle_s_graphical",
     "oracle_bipartite",
     "connected_degree_sets",
 ]
 
-MAX_ORACLE_VERTICES = 6  # 3**15 graphs; anything larger is not a desk run
-MAX_ORACLE_SLOTS = 14  # 3**14 bipartite graphs
+MAX_ORACLE_VERTICES = 7  # the n = 7 census takes under a second
+MAX_ORACLE_SLOTS = 20  # p*q; the squarest shape, 4 x 5, takes about a second
 
 
 class OracleLimitError(ValueError):
-    """Requested size exceeds the exhaustive-enumeration guard."""
+    """Requested size exceeds the oracle's size guard."""
 
 
-_CHOICES = (None, Sign.POSITIVE, Sign.NEGATIVE)
-
-
-def _pair_slots(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def _cross_slots(p: int, q: int) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(p) for v in range(q)]
-
-
-def enumerate_signed_bipartite(p: int, q: int) -> Iterator[SignedBipartiteGraph]:
-    """Yield every simple signed bipartite graph on parts of size p and q."""
-    if p < 0 or q < 0:
-        raise ValueError(f"part sizes must be non-negative, got p={p}, q={q}")
-    if p * q > MAX_ORACLE_SLOTS:
-        raise OracleLimitError(
-            f"p*q={p * q} exceeds the exhaustive guard p*q <= {MAX_ORACLE_SLOTS}"
-        )
-    slots = _cross_slots(p, q)
-    for choice in itertools.product(_CHOICES, repeat=len(slots)):
-        edges = {pair: sign for pair, sign in zip(slots, choice) if sign is not None}
-        yield SignedBipartiteGraph(p, q, edges)
+def _joins(degrees: tuple[int, ...]) -> set[tuple[int, tuple[int, ...]]]:
+    """Every (degree of a new vertex, the old degrees after) over all ways to
+    join a new vertex to vertices of these non-increasing degrees, each
+    outcome once and the old degrees sorted non-increasing."""
+    partial = {(0, ())}
+    for d, run in groupby(degrees):
+        c = len(tuple(run))
+        # a of the c members gain a positive edge, b a negative one
+        options = [
+            (a - b, (d + 1,) * a + (d,) * (c - a - b) + (d - 1,) * b)
+            for a in range(c + 1)
+            for b in range(c + 1 - a)
+        ]
+        partial = {(s + x, t + after) for s, t in partial for x, after in options}
+    return {(s, tuple(sorted(t, reverse=True))) for s, t in partial}
 
 
 @lru_cache(maxsize=None)
 def _sequence_census(n: int) -> frozenset[tuple[int, ...]]:
-    # Degree vectors only; building graph objects here would dominate the cost.
-    slots = _pair_slots(n)
-    seen: set[tuple[int, ...]] = set()
-    for choice in itertools.product((0, 1, -1), repeat=len(slots)):
-        deg = [0] * n
-        for (i, j), value in zip(slots, choice):
-            deg[i] += value
-            deg[j] += value
-        seen.add(tuple(sorted(deg, reverse=True)))
-    return frozenset(seen)
+    """Every non-increasing signed degree sequence of a graph on n vertices."""
+    states = {()}
+    for _ in range(n):
+        states = {
+            tuple(sorted(after + (new,), reverse=True))
+            for degrees in states
+            for new, after in _joins(degrees)
+        }
+    return frozenset(states)
 
 
 @lru_cache(maxsize=None)
 def _pair_census(p: int, q: int) -> frozenset[tuple[tuple[int, ...], tuple[int, ...]]]:
-    slots = _cross_slots(p, q)
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    for choice in itertools.product((0, 1, -1), repeat=len(slots)):
-        du = [0] * p
-        dv = [0] * q
-        for (u, v), value in zip(slots, choice):
-            du[u] += value
-            dv[v] += value
-        seen.add((tuple(sorted(du, reverse=True)), tuple(sorted(dv, reverse=True))))
-    return frozenset(seen)
+    """Every (U, V) pair of non-increasing signed degree sequences of a p x q
+    bipartite graph, grown one V vertex at a time."""
+    states = {((0,) * p, ())}
+    for _ in range(q):
+        joins = {u: _joins(u) for u in {u for u, _ in states}}
+        states = {
+            (u_after, tuple(sorted(v + (new,), reverse=True)))
+            for u, v in states
+            for new, u_after in joins[u]
+        }
+    return frozenset(states)
 
 
 def oracle_s_graphical(seq: Iterable[int]) -> bool:
@@ -91,9 +89,16 @@ def oracle_s_graphical(seq: Iterable[int]) -> bool:
     vals = tuple(sorted(seq, reverse=True))
     if len(vals) > MAX_ORACLE_VERTICES:
         raise OracleLimitError(
-            f"length {len(vals)} exceeds the exhaustive guard n <= {MAX_ORACLE_VERTICES}"
+            f"length {len(vals)} exceeds the oracle guard n <= {MAX_ORACLE_VERTICES}"
         )
     return vals in _sequence_census(len(vals))
+
+
+def _check_slots(p: int, q: int) -> None:
+    if p * q > MAX_ORACLE_SLOTS:
+        raise OracleLimitError(
+            f"p*q={p * q} exceeds the oracle guard p*q <= {MAX_ORACLE_SLOTS}"
+        )
 
 
 def oracle_bipartite(alpha: Iterable[int], beta: Iterable[int]) -> bool:
@@ -101,11 +106,31 @@ def oracle_bipartite(alpha: Iterable[int], beta: Iterable[int]) -> bool:
     bipartite graph realize this pair of signed degree sequences?"""
     a = tuple(sorted(alpha, reverse=True))
     b = tuple(sorted(beta, reverse=True))
-    if len(a) * len(b) > MAX_ORACLE_SLOTS:
-        raise OracleLimitError(
-            f"p*q={len(a) * len(b)} exceeds the exhaustive guard p*q <= {MAX_ORACLE_SLOTS}"
-        )
+    _check_slots(len(a), len(b))
     return (a, b) in _pair_census(len(a), len(b))
+
+
+def _component_joins(
+    components: tuple[tuple[int, ...], ...],
+) -> set[tuple[tuple[tuple[int, ...], ...], int]]:
+    """Every (components after, degree of the new vertex) over all ways to
+    join a new V vertex to at least one U vertex.  ``components`` holds the
+    non-increasing degrees of the U vertices of each component, sorted."""
+    members = [(i, d) for i, component in enumerate(components) for d in component]
+    outcomes = set()
+    for choice in product((0, 1, -1), repeat=len(members)):
+        grown = [[] for _ in components]
+        hit = set()
+        for (i, d), x in zip(members, choice):
+            grown[i].append(d + x)
+            if x:
+                hit.add(i)
+        if not hit:
+            continue  # the new vertex would stay isolated
+        after = [tuple(sorted(grown[i], reverse=True)) for i in range(len(grown)) if i not in hit]
+        after.append(tuple(sorted((d for i in hit for d in grown[i]), reverse=True)))
+        outcomes.add((tuple(sorted(after)), sum(choice)))
+    return outcomes
 
 
 def connected_degree_sets(p: int, q: int) -> list[tuple[int, ...]]:
@@ -113,8 +138,22 @@ def connected_degree_sets(p: int, q: int) -> list[tuple[int, ...]]:
     each sorted ascending, listed in sorted order."""
     if p < 1 or q < 1:
         raise ValueError("both parts must be nonempty")
-    found: set[tuple[int, ...]] = set()
-    for g in enumerate_signed_bipartite(p, q):
-        if is_connected(g):
-            found.add(tuple(sorted(signed_degree_set(g))))
+    _check_slots(p, q)
+    # A graph and its transpose share degree set and connectivity, so the
+    # smaller part is U.  A state is (components, bit d + p set for each V
+    # degree d so far); an isolated V vertex would disconnect the graph.
+    p, q = min(p, q), max(p, q)
+    states = {(((0,),) * p, 0)}
+    for _ in range(q):
+        joins = {c: _component_joins(c) for c in {c for c, _ in states}}
+        states = {
+            (after, seen | 1 << (new + p))
+            for components, seen in states
+            for after, new in joins[components]
+        }
+    found = set()
+    for components, seen in states:
+        if len(components) == 1:
+            v_degrees = {d - p for d in range(2 * p + 1) if seen >> d & 1}
+            found.add(tuple(sorted(v_degrees.union(components[0]))))
     return sorted(found)

@@ -6,7 +6,47 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from sdegree import Sign, SignedBipartiteGraph
+from sdegree import Sign, SignedBipartiteGraph, degree_vectors, is_connected, signed_degree_set
+
+# The exhaustive definitions the oracle censuses are checked against: every
+# vertex pair (or U x V pair) is a slot holding one of absent, positive,
+# negative, and every one of the 3**slots fillings is a labelled graph.
+_FILLINGS = (None, Sign.POSITIVE, Sign.NEGATIVE)
+
+
+def enumerate_signed_bipartite(p: int, q: int):
+    """Yield every simple signed bipartite graph on parts of size p and q."""
+    slots = [(u, v) for u in range(p) for v in range(q)]
+    for choice in itertools.product(_FILLINGS, repeat=len(slots)):
+        edges = {pair: sign for pair, sign in zip(slots, choice) if sign is not None}
+        yield SignedBipartiteGraph(p, q, edges)
+
+
+def exhaustive_sequence_census(n: int) -> frozenset:
+    """Every non-increasing signed degree sequence of a signed graph on n
+    labelled vertices, from all 3**(n(n-1)/2) of them."""
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    seen = set()
+    for choice in itertools.product((0, 1, -1), repeat=len(slots)):
+        deg = [0] * n
+        for (i, j), value in zip(slots, choice):
+            deg[i] += value
+            deg[j] += value
+        seen.add(tuple(sorted(deg, reverse=True)))
+    return frozenset(seen)
+
+
+@lru_cache(maxsize=None)
+def exhaustive_bipartite_census(p: int, q: int) -> tuple[frozenset, list]:
+    """Every (du, dv) pair of signed degree sequences of a p x q signed
+    bipartite graph, both sides sorted non-increasing; and every sorted
+    signed degree set of a connected one, in sorted order."""
+    pairs, connected = set(), set()
+    for g in enumerate_signed_bipartite(p, q):
+        pairs.add(tuple(tuple(sorted(side, reverse=True)) for side in degree_vectors(g)))
+        if p and q and is_connected(g):
+            connected.add(tuple(sorted(signed_degree_set(g))))
+    return frozenset(pairs), sorted(connected)
 
 
 @lru_cache(maxsize=None)

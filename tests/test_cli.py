@@ -171,11 +171,11 @@ class TestExitCodes:
 
     def test_oracle_guard_is_2(self, capsys):
         code, _, err = run(
-            capsys, "check-seq", "--seq", "1,1,1,1,1,1,1", "--method", "oracle"
+            capsys, "check-seq", "--seq", "1,1,1,1,1,1,1,1", "--method", "oracle"
         )
         assert code == 2
         assert "guard" in err
-        assert run(capsys, "enumerate", "--p", "4", "--q", "4", "--sets")[0] == 2
+        assert run(capsys, "enumerate", "--p", "4", "--q", "6", "--sets")[0] == 2
 
     # Integers above sys.maxsize cannot size a list or range, so these are
     # refused before anything is allocated; smaller oversized values would
@@ -223,3 +223,84 @@ def test_import_loads_no_dataclasses():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False"]
+
+
+def _child(script: str) -> str:
+    # -S keeps site hooks from loading modules of their own
+    src = str(Path(sdegree.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_a_command_loads_only_the_modules_it_calls():
+    script = (
+        "import sys\n"
+        "from sdegree.cli import cli_main\n"
+        "code = cli_main(['gale-ryser', '--d', '2,1', '--e', '1,1,1'])\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('sdegree')))\n"
+    )
+    out = _child(script).splitlines()
+    assert out[0] == "graphical: true"
+    assert out[1].split() == ["0", "sdegree", "sdegree.bipartite", "sdegree.cli"]
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    script = "import sys, sdegree; print(*sorted(m for m in sys.modules if 'sdegree' in m))"
+    assert _child(script).split() == ["sdegree"]
+
+
+CLI_LIBRARY_NAMES = [
+    "realize_set",
+    "emit_graph",
+    "emit_dot",
+    "parse_graph",
+    "signed_degree_set",
+    "is_connected",
+    "is_s_graphical_branching",
+    "is_s_graphical_deterministic",
+    "is_bipartite_s_graphical",
+    "gale_ryser",
+    "oracle_s_graphical",
+    "oracle_bipartite",
+    "connected_degree_sets",
+]
+
+
+@pytest.mark.parametrize("name", CLI_LIBRARY_NAMES)
+def test_cli_names_are_module_attributes(name):
+    # callers may wrap any of these on sdegree.cli, so each must resolve there
+    # and be the library's own function
+    import sdegree.cli as cli
+
+    assert getattr(cli, name) is getattr(sdegree, name)
+
+
+def test_commands_call_through_the_module_attributes(monkeypatch, capsys):
+    import sdegree.cli as cli
+
+    calls = []
+
+    def stub(d, e):
+        calls.append((d, e))
+        return False
+
+    monkeypatch.setattr(cli, "gale_ryser", stub)
+    code, out, _ = run(capsys, "gale-ryser", "--d", "1", "--e", "1")
+    assert (code, out) == (0, "graphical: false\n")
+    assert calls == [([1], [1])]
+
+
+def test_every_public_name_resolves_and_is_listed():
+    import sdegree.cli as cli
+
+    listed = dir(sdegree)
+    for name in sdegree.__all__:
+        assert getattr(sdegree, name) is not None
+        assert name in listed
+    for module in (sdegree, cli):
+        with pytest.raises(AttributeError):
+            module.no_such_name

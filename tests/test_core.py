@@ -177,6 +177,8 @@ def test_signed_degree_set_allocates_nothing_per_declared_vertex():
 def _validated_per_edge(p, q, edges, labels):
     """Reference validation: one loop over the edges that checks each edge
     and re-inserts it into a fresh dict, then the same for the labels."""
+    if not (isinstance(p, int) and isinstance(q, int)):
+        raise ValueError(f"part sizes must be ints, got p={p!r}, q={q!r}")
     if p < 0 or q < 0:
         raise ValueError(f"part sizes must be non-negative, got p={p}, q={q}")
     checked = {}
@@ -194,6 +196,8 @@ def _validated_per_edge(p, q, edges, labels):
         size = p if part == "u" else q if part == "v" else -1
         if not 0 <= idx < size:
             raise ValueError(f"label key ({part!r}, {idx}) does not name a vertex")
+        if not (isinstance(tag, str) and tag and not any(c.isspace() for c in tag)):
+            raise ValueError(f"label tag {tag!r} of ({part!r}, {idx}) is not one word")
         checked_labels[(part, idx)] = tag
     return checked, checked_labels
 
@@ -238,7 +242,7 @@ def _outcome(build):
     st.integers(-1, 4),
     st.integers(-1, 4),
     st.dictionaries(_keys, _values, max_size=4),
-    st.dictionaries(_label_keys, st.just("X_1"), max_size=3),
+    st.dictionaries(_label_keys, st.sampled_from(("X_1", "", "a b", "X\nu1 v1 +")), max_size=3),
 )
 def test_validation_matches_the_per_edge_loop(p, q, edges, labels):
     want, why = _outcome(lambda: _validated_per_edge(p, q, edges, labels))
@@ -265,3 +269,23 @@ def test_edge_keys_must_be_pairs_of_ints(key):
 def test_edge_keys_accept_int_subclasses():
     g = SignedBipartiteGraph(2, 2, {(True, False): Sign.POSITIVE})
     assert g == SignedBipartiteGraph(2, 2, {(1, 0): Sign.POSITIVE})
+
+
+@pytest.mark.parametrize("tag", ["X\nu1 v1 +", "a b", "", "\t", 7], ids=repr)
+def test_label_tags_must_be_one_word(tag):
+    # the edge-list format writes a tag as one word after "# u<i> ", so any
+    # other tag would not read back as the same graph
+    with pytest.raises(ValueError, match="is not one word"):
+        SignedBipartiteGraph(1, 1, {(0, 0): Sign.POSITIVE}, {("u", 0): tag})
+
+
+@pytest.mark.parametrize("p, q", [(2.5, 1), (1, 1.0), ("2", 1), (None, 1)])
+def test_part_sizes_must_be_ints(p, q):
+    with pytest.raises(ValueError, match="part sizes must be ints"):
+        SignedBipartiteGraph(p, q, {(0, 0): Sign.POSITIVE})
+
+
+def test_part_sizes_accept_int_subclasses():
+    assert SignedBipartiteGraph(True, True, {(0, 0): Sign.POSITIVE}) == SignedBipartiteGraph(
+        1, 1, {(0, 0): Sign.POSITIVE}
+    )

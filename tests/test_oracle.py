@@ -7,10 +7,19 @@ from sdegree import (
     MAX_ORACLE_VERTICES,
     OracleLimitError,
     connected_degree_sets,
-    enumerate_signed_bipartite,
     oracle_bipartite,
     oracle_s_graphical,
 )
+from sdegree.oracle import _pair_census, _sequence_census
+
+from .conftest import (
+    enumerate_signed_bipartite,
+    exhaustive_bipartite_census,
+    exhaustive_sequence_census,
+)
+
+# The exhaustive definitions come from tests/conftest.py; the first two tests
+# check that they list each labelled graph once.
 
 
 @pytest.mark.parametrize("p, q, expected", [(0, 3, 1), (1, 1, 3), (1, 2, 9), (2, 2, 81)])
@@ -28,19 +37,19 @@ def test_enumeration_yields_distinct_graphs():
 
 def test_size_guards():
     with pytest.raises(OracleLimitError):
-        next(enumerate_signed_bipartite(3, 5))  # 15 slots
+        connected_degree_sets(3, 7)  # 21 slots
     with pytest.raises(OracleLimitError):
         oracle_s_graphical([0] * (MAX_ORACLE_VERTICES + 1))
     with pytest.raises(OracleLimitError):
-        oracle_bipartite([0] * 4, [0] * 4)
+        oracle_bipartite([0] * 4, [0] * 6)
     # the guard error is a ValueError, so one except clause can catch both
     assert issubclass(OracleLimitError, ValueError)
-    assert 4 * 4 > MAX_ORACLE_SLOTS
+    assert (MAX_ORACLE_VERTICES, MAX_ORACLE_SLOTS) == (7, 20)
 
 
 def test_enumerate_rejects_negative_sizes():
     with pytest.raises(ValueError):
-        next(enumerate_signed_bipartite(-1, 2))
+        connected_degree_sets(-1, 2)
 
 
 @pytest.mark.parametrize(
@@ -109,3 +118,44 @@ def test_census_matches_direct_enumeration():
         for b in itertools.product(range(-2, 3), repeat=2):
             key = (tuple(sorted(a, reverse=True)), tuple(sorted(b, reverse=True)))
             assert oracle_bipartite(a, b) == (key in expected)
+
+
+def test_sequence_census_matches_the_exhaustive_definition():
+    for n in range(6):
+        assert _sequence_census(n) == exhaustive_sequence_census(n), n
+
+
+_SHAPES = [(p, q) for p in range(11) for q in range(11) if p * q <= 10]
+
+
+def test_pair_census_matches_the_exhaustive_definition():
+    for p, q in _SHAPES:
+        assert _pair_census(p, q) == exhaustive_bipartite_census(p, q)[0], (p, q)
+
+
+def test_connected_degree_sets_match_the_exhaustive_definition():
+    for p, q in _SHAPES:
+        if p and q:
+            assert connected_degree_sets(p, q) == exhaustive_bipartite_census(p, q)[1], (p, q)
+
+
+def _chungphaisan(seq) -> bool:
+    """Chungphaisan's theorem: d is s-graphical iff the degrees d_i + n - 1
+    form a loopless multigraph with edge multiplicity at most 2, iff their
+    sum is even and, sorted non-increasing, every k has
+    sum(first k) <= 2k(k-1) + sum over the rest of min(2k, d_i)."""
+    n = len(seq)
+    m = sorted((d + n - 1 for d in seq), reverse=True)
+    if min(m, default=0) < 0 or sum(m) % 2:
+        return False
+    return all(
+        sum(m[:k]) <= 2 * k * (k - 1) + sum(min(2 * k, x) for x in m[k:]) for k in range(1, n + 1)
+    )
+
+
+def test_seven_vertex_census_matches_chungphaisan():
+    sequences = list(itertools.combinations_with_replacement(range(6, -7, -1), 7))
+    assert len(sequences) == 50_388
+    census = _sequence_census(7)
+    assert all((seq in census) == _chungphaisan(seq) for seq in sequences)
+    assert sum(map(_chungphaisan, sequences)) == len(census)
