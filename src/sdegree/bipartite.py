@@ -5,8 +5,11 @@ the part-wise signed degree sequences of one signed bipartite graph, via a
 depth-first search of head-removal steps over orientation-normalised pairs.
 The search is a loop whose memo of failed pairs lives for one call, so no
 state outlives the call and no input length meets Python's recursion limit.
-Each head-removal step is one call of reduce_pair, whose argument checks
-re-sort tuples that are already sorted (a linear pass) and compare integers.
+Each head-removal step is one call of reduce_pair.  It sorts its arguments,
+which is a linear pass on the sorted tuples the search hands it, and builds
+the two shifted spans of beta with list comprehensions.  The search orients
+each pair by looking only at the two ends, the length and the sum of each
+side, and builds a negated tuple only for the orientation it picks.
 gale_ryser is the classical dominance test for unsigned bipartite degree
 pairs, in O(p + q) time after its input checks.
 """
@@ -14,8 +17,8 @@ pairs, in O(p + q) time after its input checks.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import accumulate, chain, islice, repeat
-from operator import add, ge, le, sub
+from itertools import accumulate, islice, repeat
+from operator import ge, le, sub
 
 __all__ = [
     "is_standard_pair",
@@ -34,35 +37,26 @@ def _negated(seq: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([-x for x in reversed(seq)])
 
 
-def _orientations(a, b):
-    # Tried in a fixed order: as given, jointly negated, swapped, both.
-    # Negating flips every edge sign of a witness; swapping transposes the
-    # parts; neither changes realizability.
-    yield a, b
-    yield _negated(a), _negated(b)
-    yield b, a
-    yield _negated(b), _negated(a)
-
-
-def _lead_side_standard(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    # a plays the leading role; both tuples arrive sorted non-increasing, so
-    # the largest magnitude on each side sits at one of its ends.
-    if not a or a[0] <= 0 or a[0] < -a[-1]:
-        return False  # all zero, or a head that is not positive and dominant
-    if a[0] > len(b) or sum(a) != sum(b):
-        return False
-    # b is nonempty here, because its length is at least a[0] > 0
-    return max(b[0], -b[-1]) <= min(len(a), a[0])
-
-
 def _standard_orientation(
     a: tuple[int, ...], b: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    # The first standard orientation of a sorted pair, leading side first.
-    for x, y in _orientations(a, b):
-        if _lead_side_standard(x, y):
-            return x, y
-    return None
+    # The first standard orientation of a sorted pair, leading side first,
+    # in the order: as given, jointly negated, swapped, both (negating flips
+    # every edge sign of a witness, swapping transposes the parts; neither
+    # changes realizability).  The leading side's head must be positive and
+    # its largest magnitude, at most the other side's length and at least
+    # the other side's largest magnitude, which must be at most the leading
+    # side's length; the sums must agree.  Both tuples are sorted
+    # non-increasing, so a side's largest magnitude sits at one of its ends,
+    # and only the chosen negated tuples are built.
+    if not a or not b:
+        return None
+    top_a, top_b = max(a[0], -a[-1]), max(b[0], -b[-1])
+    if top_a > len(b) or top_b > len(a) or top_a == top_b == 0 or sum(a) != sum(b):
+        return None
+    if top_a >= top_b:
+        return (a, b) if a[0] == top_a else (_negated(a), _negated(b))
+    return (b, a) if b[0] == top_b else (_negated(b), _negated(a))
 
 
 def is_standard_pair(alpha: Iterable[int], beta: Iterable[int]) -> bool:
@@ -95,7 +89,9 @@ def reduce_pair(
         raise ValueError(f"need r - s = {d1} with r, s >= 0, got r={r}, s={s}")
     if s > (q - d1) // 2:
         raise ValueError(f"shift s={s} outside [0, {(q - d1) // 2}] for head {d1}, q={q}")
-    stepped = chain(map(add, b[:r], repeat(-1)), b[r : q - s], map(add, b[q - s :], repeat(1)))
+    stepped = [y - 1 for y in b[:r]]
+    stepped += b[r : q - s]
+    stepped += [y + 1 for y in b[q - s :]]
     return a[1:], _desc(stepped)
 
 

@@ -183,19 +183,30 @@ def is_connected(g: SignedBipartiteGraph) -> bool:
         raise ValueError("connectivity of an empty graph is undefined")
     if len(g.edges) < total - 1:
         return False
-    adjacency: list[list[int]] = [[] for _ in range(total)]
+    if not g.edges:
+        return True  # the one vertex of a 1 x 0 or 0 x 1 graph
+    # One adjacency list per vertex of each part, holding the edge keys' own
+    # ints, so no vertex number is computed (and allocated) per edge end.
+    # The search reaches V vertices from U vertex 0 and U vertices through
+    # each V vertex the first time it is reached.
+    u_nbrs: list[list[int]] = [[] for _ in range(g.p)]
+    v_nbrs: list[list[int]] = [[] for _ in range(g.q)]
     for u, v in g.edges:
-        adjacency[u].append(g.p + v)
-        adjacency[g.p + v].append(u)
-    reached = [False] * total
-    reached[0] = True
+        u_nbrs[u].append(v)
+        v_nbrs[v].append(u)
+    u_reached = [False] * g.p
+    v_reached = [False] * g.q
+    u_reached[0] = True
     stack = [0]
     while stack:
-        for nxt in adjacency[stack.pop()]:
-            if not reached[nxt]:
-                reached[nxt] = True
-                stack.append(nxt)
-    return all(reached)
+        for v in u_nbrs[stack.pop()]:
+            if not v_reached[v]:
+                v_reached[v] = True
+                for u in v_nbrs[v]:
+                    if not u_reached[u]:
+                        u_reached[u] = True
+                        stack.append(u)
+    return all(u_reached) and all(v_reached)
 
 
 def join_all_positive(

@@ -15,11 +15,14 @@ choose_m.  Both deciders are loops: the search's memo of failed states lives
 for one call, so no state outlives the call and no sequence length meets
 Python's recursion limit.
 
-Each reduction step of a decider is one call of reduce_hakimi, whose
-argument check is a single C-level pass.  Orientation and the pivot run as
-private helpers on plain lists, so no state object is built per step; the
-public normalize_standard and choose_m are the same helpers behind their
-own argument handling.
+Each reduction step of a decider is one call of reduce_hakimi.  It checks
+the order of its argument by comparing it with its own non-increasing sort,
+which is one linear pass on the sorted lists the deciders hand it, and builds
+the two shifted spans with list comprehensions.  choose_m bisects for its
+pivot: the qualifying shifts of a non-increasing sequence form a prefix of
+the shift range.  Orientation and the pivot run as private helpers on plain
+lists, so no state object is built per step; the public normalize_standard
+and choose_m are the same helpers behind their own argument handling.
 
 The normal forms Standard, AllZero and NotStandard are named tuples: each
 compares equal to the plain tuple of its fields, so ``AllZero() == ()`` and,
@@ -30,8 +33,6 @@ isinstance.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import islice, repeat
-from operator import add, ge
 from typing import NamedTuple
 
 __all__ = [
@@ -87,13 +88,18 @@ def _normal(seq: Iterable[int]) -> tuple[list[int], bool, str | None]:
 
 
 def _pivot(vals: Sequence[int]) -> int:
-    # choose_m on a standard non-increasing sequence, unchecked: scan from
-    # the largest admissible shift down, so the first hit is the answer.
+    # choose_m on a non-increasing sequence, unchecked.  As m grows,
+    # vals[d1 + m] never rises and vals[n - m] never falls, so the shifts
+    # that qualify form a prefix of 1..(n-1-d1)//2: bisect for its end.
     n, d1 = len(vals), vals[0]
-    for m in range((n - 1 - d1) // 2, 0, -1):
+    lo, hi = 0, (n - 1 - d1) // 2
+    while lo < hi:
+        m = (lo + hi + 1) // 2
         if vals[d1 + m] > vals[n - m]:
-            return m
-    return 0
+            lo = m
+        else:
+            hi = m - 1
+    return lo
 
 
 def normalize_standard(seq: Iterable[int]) -> NormalForm:
@@ -112,7 +118,8 @@ def normalize_standard(seq: Iterable[int]) -> NormalForm:
 def _require_reducible(vals: Sequence[int]) -> None:
     if not vals or vals[0] < 1:
         raise ValueError("expected a standard sequence with positive head")
-    if not all(map(ge, vals, islice(vals, 1, None))):
+    # sorting a non-increasing list is one linear pass
+    if vals != sorted(vals, reverse=True):
         raise ValueError("expected a non-increasing sequence")
 
 
@@ -132,9 +139,9 @@ def reduce_hakimi(seq: Sequence[int], s: int) -> list[int]:
             f"shift s={s} outside [0, {(n - 1 - d1) // 2}] for head {d1}, length {n}"
         )
     k = d1 + s + 1
-    out = list(map(add, vals[1:k], repeat(-1)))
+    out = [x - 1 for x in vals[1:k]]
     out += vals[k : n - s]
-    out += map(add, vals[n - s :], repeat(1))
+    out += [x + 1 for x in vals[n - s :]]
     return out
 
 
@@ -143,8 +150,9 @@ def choose_m(seq: Sequence[int]) -> int:
     or 0 when no positive m qualifies.
 
     Candidates stay inside the shift range of reduce_hakimi, which also keeps
-    both pivot indices on the sequence; they are scanned from the largest
-    down, so the first hit is the answer.
+    both pivot indices on the sequence.  On a non-increasing sequence the
+    qualifying shifts form a prefix of that range, so the answer is found by
+    bisection in O(log n) comparisons.
     """
     vals = list(seq)
     _require_reducible(vals)

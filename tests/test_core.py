@@ -10,6 +10,7 @@ from sdegree import (
     degree_vectors,
     is_connected,
     join_all_positive,
+    realize_set,
     signed_degree_sequences,
     signed_degree_set,
 )
@@ -123,6 +124,53 @@ def test_is_connected_allocates_nothing_per_declared_vertex():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _connected_by_union_find(p, q, edges):
+    # U vertex u is node u and V vertex v is node p + v
+    parent = list(range(p + q))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        parent[root(u)] = root(p + v)
+    return len({root(x) for x in range(p + q)}) == 1
+
+
+@st.composite
+def small_graphs(draw):
+    """Any p, q in 0..6 (not both 0), each vertex pair an edge or not."""
+    p = draw(st.integers(0, 6))
+    q = draw(st.integers(1 if p == 0 else 0, 6))
+    pairs = [(u, v) for u in range(p) for v in range(q)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    signs = st.sampled_from((Sign.POSITIVE, Sign.NEGATIVE))
+    edges = {pair: draw(signs) for pair, keep in zip(pairs, chosen) if keep}
+    return SignedBipartiteGraph(p, q, edges)
+
+
+@settings(max_examples=300)
+@given(small_graphs())
+def test_is_connected_matches_union_find(g):
+    assert is_connected(g) == _connected_by_union_find(g.p, g.q, g.edges)
+
+
+def test_is_connected_holds_no_vertex_number_per_edge_end():
+    # 58,528 edges with V indices past the small-int cache: adjacency that
+    # stores u and p + v as new ints peaks near 3 MB here, one that holds
+    # the edge keys' own ints near 1 MB
+    g = realize_set({12, 28, 240}).graph
+    assert len(g.edges) == 58_528
+    tracemalloc.start()
+    try:
+        assert is_connected(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 
 def test_join_all_positive_adds_complete_join():

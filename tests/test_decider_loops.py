@@ -2,11 +2,15 @@
 plain lists, and reduce through reduce_hakimi and reduce_pair.  These tests
 hold them to the public step functions: a reference that composes
 normalize_standard, reduce_hakimi, choose_m and reduce_pair step by step must
-reach the same verdict, at sizes beyond the oracles' range."""
+reach the same verdict, at sizes beyond the oracles' range.  The step
+functions and the pair orientation are in turn held to plain elementwise
+versions of themselves: same result, or same exception type and message."""
 
 import itertools
+from itertools import chain, islice, repeat
+from operator import add, ge
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sdegree import (
@@ -237,3 +241,123 @@ def test_each_reduction_step_is_one_call_of_the_public_step(monkeypatch):
         assert is_bipartite_s_graphical(alpha, beta) is expected, (alpha, beta)
     calls["reduce_pair"] = 0
     assert is_bipartite_s_graphical([3], [1, 1, 1]) and calls["reduce_pair"] == 1
+
+
+def reduce_hakimi_elementwise(seq, s):
+    # reduce_hakimi with an entry-by-entry order check and spans that map
+    # add over the entries
+    vals = list(seq)
+    if not vals or vals[0] < 1:
+        raise ValueError("expected a standard sequence with positive head")
+    if not all(map(ge, vals, islice(vals, 1, None))):
+        raise ValueError("expected a non-increasing sequence")
+    n = len(vals)
+    d1 = vals[0]
+    if not 0 <= s <= (n - 1 - d1) // 2:
+        raise ValueError(
+            f"shift s={s} outside [0, {(n - 1 - d1) // 2}] for head {d1}, length {n}"
+        )
+    k = d1 + s + 1
+    out = list(map(add, vals[1:k], repeat(-1)))
+    out += vals[k : n - s]
+    out += map(add, vals[n - s :], repeat(1))
+    return out
+
+
+def reduce_pair_elementwise(alpha, beta, r, s):
+    # reduce_pair with spans that map add over the entries of beta
+    a = _desc(alpha)
+    b = _desc(beta)
+    if not a:
+        raise ValueError("alpha must be nonempty")
+    d1 = a[0]
+    q = len(b)
+    if r < 0 or s < 0 or r - s != d1:
+        raise ValueError(f"need r - s = {d1} with r, s >= 0, got r={r}, s={s}")
+    if s > (q - d1) // 2:
+        raise ValueError(f"shift s={s} outside [0, {(q - d1) // 2}] for head {d1}, q={q}")
+    stepped = chain(map(add, b[:r], repeat(-1)), b[r : q - s], map(add, b[q - s :], repeat(1)))
+    return a[1:], _desc(stepped)
+
+
+def _outcome(step, *args):
+    try:
+        return "returned", step(*args)
+    except Exception as exc:
+        return "raised", (type(exc), str(exc))
+
+
+@st.composite
+def hakimi_arguments(draw):
+    """A standard sequence, a sorted one (heads < 1 included), an unsorted
+    one or an empty one, as a list or a tuple, with a shift drawn around
+    and beyond the admissible range."""
+    kind = draw(st.sampled_from(("standard", "sorted", "any")))
+    if kind == "standard":
+        norm = normalize_standard(draw(sequences()))
+        assume(isinstance(norm, Standard))
+        seq = list(norm.values)
+    else:
+        seq = draw(st.lists(st.integers(-12, 12), max_size=30))
+        if kind == "sorted":
+            seq.sort(reverse=True)
+    if draw(st.booleans()):
+        seq = tuple(seq)
+    top = (len(seq) - 1 - seq[0]) // 2 if seq else 0
+    return seq, draw(st.integers(-3, max(top, 0) + 3))
+
+
+@settings(max_examples=500, deadline=None)
+@given(hakimi_arguments())
+@example(([], 0))
+@example(((), 0))
+@example(([-1, -1], 0))
+@example(((2, 1, 3, 0), 0))
+@example(([1, 1, 0, -1, -1], -1))
+@example(((1, 1, 0, -1, -1), 2))
+@example(([3, 1], 0))
+def test_reduce_hakimi_matches_the_elementwise_step(arguments):
+    seq, s = arguments
+    assert _outcome(reduce_hakimi, seq, s) == _outcome(reduce_hakimi_elementwise, seq, s)
+
+
+@st.composite
+def pair_step_arguments(draw):
+    """A pair from pairs() or two short lists (either may be empty), as
+    lists or tuples in any order, with r - s the head of alpha or not and
+    shifts drawn around and beyond the admissible range."""
+    if draw(st.booleans()):
+        alpha, beta = draw(pairs())
+    else:
+        alpha = draw(st.lists(st.integers(-8, 8), max_size=12))
+        beta = draw(st.lists(st.integers(-8, 8), max_size=12))
+    if draw(st.booleans()):
+        alpha, beta = tuple(alpha), tuple(beta)
+    head = max(alpha, default=0)
+    top = (len(beta) - head) // 2
+    s = draw(st.integers(-2, max(top, 0) + 2))
+    r = head + s if draw(st.booleans()) else draw(st.integers(-2, len(beta) + 3))
+    return alpha, beta, r, s
+
+
+@settings(max_examples=500, deadline=None)
+@given(pair_step_arguments())
+def test_reduce_pair_matches_the_elementwise_step(arguments):
+    assert _outcome(reduce_pair, *arguments) == _outcome(reduce_pair_elementwise, *arguments)
+
+
+@settings(max_examples=500)
+@given(
+    st.one_of(
+        pairs(max_side=10),
+        st.tuples(
+            st.lists(st.integers(-6, 6), max_size=6),
+            st.lists(st.integers(-6, 6), max_size=6),
+        ),
+    )
+)
+def test_pair_orientation_matches_the_four_orientations_entry_by_entry(pair):
+    # the orientation picked from the ends of each side is the first of the
+    # four that passes the conditions written entry by entry
+    a, b = _desc(pair[0]), _desc(pair[1])
+    assert bipartite._standard_orientation(a, b) == _standard_orientation(a, b)

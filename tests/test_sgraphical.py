@@ -120,7 +120,17 @@ class TestChooseM:
         assert 0 <= m <= (len(vals) - 1 - vals[0]) // 2
         reduce_hakimi(vals, m)  # must not raise
 
-    @given(st.lists(st.integers(-12, 12), min_size=1, max_size=25))
+    @settings(max_examples=300)
+    @given(
+        st.one_of(
+            st.lists(st.integers(-12, 12), min_size=1, max_size=200),
+            st.integers(1, 200).map(lambda n: [1] * n),
+            # runs of equal entries, all-ones runs among them
+            st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 60)), min_size=1, max_size=4).map(
+                lambda runs: [x for value, count in runs for x in [value] * count]
+            ),
+        )
+    )
     def test_matches_the_all_candidates_definition(self, seq):
         norm = normalize_standard(seq)
         if not isinstance(norm, Standard):
