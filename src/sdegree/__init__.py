@@ -2,8 +2,8 @@
 
 What lives here:
 
-- realize_set and friends: build a connected signed bipartite graph whose
-  set of distinct signed degrees is any prescribed nonempty set of integers;
+- realize_set: build a connected signed bipartite graph whose set of
+  distinct signed degrees is any prescribed nonempty set of integers;
 - is_s_graphical_branching / is_s_graphical_deterministic: decide whether an
   integer sequence is the signed degree sequence of some signed graph;
 - is_bipartite_s_graphical and gale_ryser: the bipartite analogues, signed
@@ -23,15 +23,12 @@ __version__ = "0.1.0"
 _MODULE_OF = {
     "gale_ryser": "bipartite",
     "is_bipartite_s_graphical": "bipartite",
-    "is_standard_pair": "bipartite",
     "reduce_pair": "bipartite",
     "cli_main": "cli",
     "Sign": "core",
     "SignedBipartiteGraph": "core",
     "degree_vectors": "core",
     "is_connected": "core",
-    "join_all_positive": "core",
-    "signed_degree_sequences": "core",
     "signed_degree_set": "core",
     "MAX_ORACLE_SLOTS": "oracle",
     "MAX_ORACLE_VERTICES": "oracle",
@@ -40,10 +37,7 @@ _MODULE_OF = {
     "oracle_bipartite": "oracle",
     "oracle_s_graphical": "oracle",
     "RealizationReport": "realize",
-    "realize_negative_set": "realize",
-    "realize_positive_set": "realize",
     "realize_set": "realize",
-    "realize_zero_set": "realize",
     "AllZero": "sgraphical",
     "NormalForm": "sgraphical",
     "NotStandard": "sgraphical",

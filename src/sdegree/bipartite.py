@@ -20,12 +20,7 @@ from collections.abc import Iterable, Sequence
 from itertools import accumulate, islice, repeat
 from operator import ge, le, sub
 
-__all__ = [
-    "is_standard_pair",
-    "reduce_pair",
-    "is_bipartite_s_graphical",
-    "gale_ryser",
-]
+__all__ = ["reduce_pair", "is_bipartite_s_graphical", "gale_ryser"]
 
 
 def _desc(seq: Iterable[int]) -> tuple[int, ...]:
@@ -57,15 +52,6 @@ def _standard_orientation(
     if top_a >= top_b:
         return (a, b) if a[0] == top_a else (_negated(a), _negated(b))
     return (b, a) if b[0] == top_b else (_negated(b), _negated(a))
-
-
-def is_standard_pair(alpha: Iterable[int], beta: Iterable[int]) -> bool:
-    """True when some orientation (optional joint negation, either side
-    leading) satisfies the standard-pair conditions.
-
-    Sequences are treated as multisets and sorted internally.
-    """
-    return _standard_orientation(_desc(alpha), _desc(beta)) is not None
 
 
 def reduce_pair(

@@ -12,14 +12,14 @@ import enum
 from collections.abc import Iterable, Mapping
 from itertools import repeat
 
+# signed_degree_sequences and join_all_positive are not listed: only the
+# tests call them, and perfbench wraps them where sdegree.realize binds them.
 __all__ = [
     "Sign",
     "SignedBipartiteGraph",
     "signed_degree_set",
-    "signed_degree_sequences",
     "degree_vectors",
     "is_connected",
-    "join_all_positive",
 ]
 
 

@@ -15,9 +15,6 @@ label runs.  A disjoint union only offsets ranges and the sign mirror only
 flips signs, so ``realize_set`` creates every edge once, in time linear in
 the edge count, and validates the graph once; its degree set and
 connectivity are checked once, at the public boundary.
-``core.join_all_positive`` stays bound here: it is the tests' blockwise
-reference for the positive construction, and perfbench wraps it on this
-module.
 """
 
 from __future__ import annotations
@@ -35,13 +32,7 @@ from .core import (  # noqa: F401 -- perfbench/tracing.py wraps the unused names
     signed_degree_set,
 )
 
-__all__ = [
-    "RealizationReport",
-    "realize_positive_set",
-    "realize_negative_set",
-    "realize_zero_set",
-    "realize_set",
-]
+__all__ = ["RealizationReport", "realize_set"]
 
 _POS, _NEG = Sign.POSITIVE, Sign.NEGATIVE
 _FLIPPED = {_POS: _NEG, _NEG: _POS}
@@ -73,19 +64,6 @@ _GADGET_BLOCKS = [("x_1", 1), ("x_2", 1), ("y_1", 1), ("y_2", 1)]
 _MIRRORED_CASES = {"positive": "negative", "nonneg_with_zero": "nonpos_with_zero"}
 
 
-def _validated_set(
-    s: Iterable[int], *, lo: int | None = None, hi: int | None = None, kind: str = "degree"
-) -> frozenset[int]:
-    elems = frozenset(int(x) for x in s)
-    if not elems:
-        raise ValueError(f"{kind} set must be nonempty")
-    if lo is not None and min(elems) < lo:
-        raise ValueError(f"{kind} set requires elements >= {lo}, got {sorted(elems)}")
-    if hi is not None and max(elems) > hi:
-        raise ValueError(f"{kind} set requires elements <= {hi}, got {sorted(elems)}")
-    return elems
-
-
 def _tagged(tag: str, sizes: list[tuple[str, int]]) -> list[tuple[str, int]]:
     return [(f"{tag}.{name}", size) for name, size in sizes]
 
@@ -103,10 +81,16 @@ def _single_vertices(*named: tuple[str, int, str]) -> list[tuple[str, range, str
 
 
 def _positive_blocks(targets: list[int]) -> tuple[_Layout, list[tuple[str, int]]]:
-    """The block layout of ``realize_positive_set`` for ascending targets,
-    with its block sizes.  Both parts share one layout (X_1, X_2, X_2', X_3,
-    ... and Y_1, Y_2, Y_2', Y_3, ...), so Y_i' directly follows Y_i and X_i'
-    joins one contiguous range."""
+    """The all-positive block layout for ascending positive targets, with
+    its block sizes.
+
+    For targets s1 < ... < sn, block X_i/Y_i has size s_i - s_(i-1) and block
+    X_i'/Y_i' has size s_(i-1); complete positive joins run X_i to Y_j for
+    i >= j, X_i' to Y_i, and X_i' to Y_i'.  Every x in X_i or X_i' lands on
+    degree s_i, every y in Y_i on s_n, every y in Y_i' on s_(i-1), and each
+    part ends up with sum(s) vertices.  Both parts share one layout (X_1,
+    X_2, X_2', X_3, ... and Y_1, Y_2, Y_2', Y_3, ...), so Y_i' directly
+    follows Y_i and X_i' joins one contiguous range."""
     rects: list[tuple[range, range, Sign]] = []
     labels: list[tuple[str, range, str]] = []
     block_sizes: list[tuple[str, int]] = []
@@ -127,30 +111,6 @@ def _positive_blocks(targets: list[int]) -> tuple[_Layout, list[tuple[str, int]]
         start += target
         prev = target
     return _Layout(start, start, rects, [], labels), block_sizes
-
-
-def realize_positive_set(s: Iterable[int]) -> RealizationReport:
-    """Connected all-positive graph whose distinct signed degrees are exactly s.
-
-    For targets s1 < ... < sn, block X_i/Y_i has size s_i - s_(i-1) and block
-    X_i'/Y_i' has size s_(i-1); complete positive joins run X_i to Y_j for
-    i >= j, X_i' to Y_i, and X_i' to Y_i'.  Every x in X_i or X_i' lands on
-    degree s_i, every y in Y_i on s_n, every y in Y_i' on s_(i-1), and each
-    part ends up with sum(s) vertices.
-    """
-    return realize_set(_validated_set(s, lo=1, kind="positive"))
-
-
-def realize_negative_set(s: Iterable[int]) -> RealizationReport:
-    """Mirror construction: realize the negated set all-positive, then flip
-    every edge sign, which negates every signed degree."""
-    return realize_set(_validated_set(s, hi=-1, kind="negative"))
-
-
-def realize_zero_set() -> RealizationReport:
-    """The 2x2 square whose four vertices all have signed degree zero: one
-    positive and one negative edge at every vertex."""
-    return realize_set({0})
 
 
 def _mirrored(g: _Layout) -> _Layout:
@@ -280,10 +240,22 @@ def realize_set(s: Iterable[int]) -> RealizationReport:
     """Build a connected signed bipartite graph whose set of distinct signed
     degrees is exactly s, dispatching on the sign pattern of s.
 
-    The graph is validated once and its degree set and connectivity are
-    checked once; a miss raises AssertionError, also under ``python -O``.
+    An empty s, or an entry that is not an integer, raises ValueError;
+    integral floats such as 2.0 count as integers.  The graph is validated
+    once and its degree set and connectivity are checked once; a miss
+    raises AssertionError, also under ``python -O``.
     """
-    elems = _validated_set(s)
+    s = list(s)
+    for x in s:
+        try:
+            integral = int(x) == x
+        except (ValueError, OverflowError):  # nan, infinities, other strings
+            integral = False
+        if not integral:
+            raise ValueError(f"degree set entries must be integers, got {x!r}")
+    elems = frozenset(map(int, s))
+    if not elems:
+        raise ValueError("degree set must be nonempty")
     layout, case, block_sizes = _build(elems)
     graph = _graph(layout)
     if signed_degree_set(graph) != elems or not is_connected(graph):

@@ -20,13 +20,11 @@ from sdegree import (
     oracle_bipartite,
     oracle_s_graphical,
     parse_graph,
-    realize_negative_set,
-    realize_positive_set,
     realize_set,
-    signed_degree_sequences,
     signed_degree_set,
 )
 from sdegree.cli import cli_main
+from sdegree.core import signed_degree_sequences
 from sdegree.textio import emit_graph
 
 from .conftest import ACCEPTANCE_SEED, acceptance_targets, unsigned_bipartite_census
@@ -70,16 +68,16 @@ def _expected_piece_degrees(target, case):
     positives = {x for x in target if x > 0}
     negatives = {x for x in target if x < 0}
     if case == "nonneg_with_zero":
-        pieces, fresh = [realize_positive_set(positives).graph], 2
+        pieces, fresh = [realize_set(positives).graph], 2
     elif case == "nonpos_with_zero":
-        pieces, fresh = [realize_negative_set(negatives).graph], 2
+        pieces, fresh = [realize_set(negatives).graph], 2
     elif case == "mixed_nonzero":
-        g1 = realize_positive_set(positives).graph
-        g2 = realize_negative_set(negatives).graph
+        g1 = realize_set(positives).graph
+        g2 = realize_set(negatives).graph
         pieces, fresh = [g1, g1, g2, g2], 0
     else:  # mixed_with_zero
-        g1 = realize_positive_set(positives).graph
-        g2 = realize_negative_set(negatives).graph
+        g1 = realize_set(positives).graph
+        g2 = realize_set(negatives).graph
         pieces, fresh = [g1, g2], 1
     du = []
     dv = []

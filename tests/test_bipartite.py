@@ -10,13 +10,19 @@ from sdegree import (
     SignedBipartiteGraph,
     gale_ryser,
     is_bipartite_s_graphical,
-    is_standard_pair,
     oracle_bipartite,
     reduce_pair,
-    signed_degree_sequences,
 )
+from sdegree.bipartite import _desc, _standard_orientation
+from sdegree.core import signed_degree_sequences
 
 from .conftest import bipartite_graphs, unsigned_bipartite_census
+
+
+def is_standard_pair(alpha, beta):
+    # some orientation (optional joint negation, either side leading) of the
+    # pair, taken as two multisets, passes the standard-pair conditions
+    return _standard_orientation(_desc(alpha), _desc(beta)) is not None
 
 
 class TestIsStandardPair:

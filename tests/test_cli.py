@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,7 @@ def test_realize_writes_edge_list_and_dot(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "method, expected",
-    [("branching", "true"), ("deterministic", "true"), ("oracle", "true")],
+    [("deterministic", "true"), ("oracle", "true")],
 )
 def test_check_seq_all_methods_agree(capsys, method, expected):
     code, out, _ = run(capsys, "check-seq", "--seq", "1,0,-1,-2", "--method", method)
@@ -45,10 +46,35 @@ def test_check_seq_all_methods_agree(capsys, method, expected):
     assert out == f"s-graphical: {expected}\n"
 
 
-def test_check_seq_defaults_to_branching(capsys):
+def test_check_seq_defaults_to_deterministic(capsys, monkeypatch):
+    import sdegree.cli as cli
+
+    monkeypatch.setattr(cli, "is_s_graphical_branching", None)  # never called
     code, out, _ = run(capsys, "check-seq", "--seq", "2,2,-1,-1")
     assert code == 0
     assert out == "s-graphical: false\n"
+
+
+# A false sequence that passes the standard conditions and on which the
+# branching search visits tens of thousands of states (seconds); the default
+# decider follows one shift per step.
+SKEWED_FALSE_42 = (
+    "41,39,36,35,32,31,31,30,28,27,27,27,27,26,26,26,26,25,25,25,25,"
+    "24,24,23,23,22,22,22,21,-2,-3,-6,-9,-10,-11,-13,-15,-18,-25,-25,-26,-33"
+)
+
+
+def test_check_seq_default_decides_a_skewed_false_sequence_quickly(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "check-seq", "--seq", SKEWED_FALSE_42)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (0, "s-graphical: false\n")
+
+
+def test_check_seq_branching_method_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "check-seq", "--seq", "1,1", "--method", "branching")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: ") and "'branching'" in err
 
 
 def test_check_seq_tolerates_spaces(capsys):
@@ -72,11 +98,10 @@ ONES_800 = ",".join(["1"] * 800)
 @pytest.mark.parametrize(
     "argv",
     [
-        ("check-seq", "--seq", ONES_800, "--method", "branching"),
         ("check-seq", "--seq", ONES_800, "--method", "deterministic"),
         ("check-pair", "--alpha", ONES_800, "--beta", ONES_800),
     ],
-    ids=["branching", "deterministic", "pair"],
+    ids=["deterministic", "pair"],
 )
 def test_800_ones_are_decided(capsys, argv):
     code, out, _ = run(capsys, *argv)
@@ -295,12 +320,24 @@ def test_commands_call_through_the_module_attributes(monkeypatch, capsys):
 
 
 def test_every_public_name_resolves_and_is_listed():
+    import importlib
+
     import sdegree.cli as cli
 
     listed = dir(sdegree)
     for name in sdegree.__all__:
         assert getattr(sdegree, name) is not None
         assert name in listed
+    # the package lists exactly its submodules' public names, each loaded
+    # from the module that lists it (cli.main is the console-script entry)
+    exported = {
+        name: module_name
+        for module_name in ("bipartite", "cli", "core", "oracle", "realize", "sgraphical", "textio")
+        for name in importlib.import_module(f"sdegree.{module_name}").__all__
+        if (module_name, name) != ("cli", "main")
+    }
+    assert sorted(exported) == sdegree.__all__
+    assert exported == sdegree._MODULE_OF
     for module in (sdegree, cli):
         with pytest.raises(AttributeError):
             module.no_such_name

@@ -9,11 +9,10 @@ from sdegree import (
     SignedBipartiteGraph,
     degree_vectors,
     is_connected,
-    join_all_positive,
     realize_set,
-    signed_degree_sequences,
     signed_degree_set,
 )
+from sdegree.core import join_all_positive, signed_degree_sequences
 
 from .conftest import bipartite_graphs, flipped
 

@@ -22,7 +22,6 @@ from sdegree import (
     is_bipartite_s_graphical,
     is_s_graphical_branching,
     is_s_graphical_deterministic,
-    is_standard_pair,
     normalize_standard,
     reduce_hakimi,
     reduce_pair,
@@ -165,13 +164,6 @@ def test_sequence_deciders_match_the_step_composition(seq):
 @given(pairs())
 def test_pair_decider_matches_the_step_composition(pair):
     assert is_bipartite_s_graphical(*pair) == pair_reference(*pair)
-
-
-@given(pairs(max_side=8))
-def test_is_standard_pair_matches_the_conditions_entry_by_entry(pair):
-    alpha, beta = pair
-    expected = _standard_orientation(_desc(alpha), _desc(beta)) is not None
-    assert is_standard_pair(alpha, beta) == expected
 
 
 @given(st.lists(st.integers(-6, 6), max_size=40))
@@ -356,6 +348,13 @@ def test_reduce_pair_matches_the_elementwise_step(arguments):
         ),
     )
 )
+@example(([1], [1, 1, -1]))  # standard as given
+@example(([0, 0], [1, -1]))  # after swapping sides
+@example(([-1], [-1, -1, 1]))  # after joint negation
+@example(([1], [-1]))  # unequal sums
+@example(([3], [1, 1]))  # an entry beyond the other part's size
+@example(([0], [0, 0]))  # all zero
+@example(([2, -2], [1, -1]))  # standard, yet not realizable
 def test_pair_orientation_matches_the_four_orientations_entry_by_entry(pair):
     # the orientation picked from the ends of each side is the first of the
     # four that passes the conditions written entry by entry

@@ -14,14 +14,11 @@ from sdegree import (
     SignedBipartiteGraph,
     degree_vectors,
     is_connected,
-    join_all_positive,
-    realize_negative_set,
-    realize_positive_set,
     realize_set,
-    realize_zero_set,
     signed_degree_set,
 )
 from sdegree import realize as realize_module
+from sdegree.core import join_all_positive
 from sdegree.textio import emit_dot, emit_graph
 
 from .conftest import acceptance_targets, flipped
@@ -29,14 +26,14 @@ from .conftest import acceptance_targets, flipped
 
 class TestRealizePositiveSet:
     def test_singleton_becomes_complete_join(self):
-        g = realize_positive_set({3}).graph
+        g = realize_set({3}).graph
         assert (g.p, g.q) == (3, 3)
         assert len(g.edges) == 9
         assert all(sign is Sign.POSITIVE for sign in g.edges.values())
         assert signed_degree_set(g) == {3}
 
     def test_two_element_set_pinned_layout(self):
-        report = realize_positive_set({1, 2})
+        report = realize_set({1, 2})
         du, dv = degree_vectors(report.graph)
         assert du == [1, 2, 2]
         assert dv == [2, 2, 1]
@@ -59,34 +56,24 @@ class TestRealizePositiveSet:
 
     def test_part_sizes_equal_target_sum(self):
         for s in ({1}, {2, 3}, {1, 4, 6}, {1, 2, 3, 4, 5, 6}):
-            g = realize_positive_set(s).graph
+            g = realize_set(s).graph
             assert g.p == g.q == sum(s)
             assert all(sign is Sign.POSITIVE for sign in g.edges.values())
             assert signed_degree_set(g) == s
             assert is_connected(g)
 
-    @pytest.mark.parametrize("bad", [set(), {0, 1}, {-1, 2}])
-    def test_rejects_non_positive_targets(self, bad):
-        with pytest.raises(ValueError):
-            realize_positive_set(bad)
-
 
 class TestRealizeNegativeSet:
     def test_is_the_flipped_mirror(self):
-        report = realize_negative_set({-2, -5})
-        mirrored = realize_positive_set({2, 5})
+        report = realize_set({-2, -5})
+        mirrored = realize_set({2, 5})
         assert report.graph == flipped(mirrored.graph)
         assert report.block_sizes == mirrored.block_sizes
         assert signed_degree_set(report.graph) == {-2, -5}
 
-    @pytest.mark.parametrize("bad", [set(), {-1, 0}, {-1, 2}])
-    def test_rejects_non_negative_targets(self, bad):
-        with pytest.raises(ValueError):
-            realize_negative_set(bad)
-
 
 def test_realize_zero_set_is_the_alternating_square():
-    report = realize_zero_set()
+    report = realize_set({0})
     assert report.graph == SignedBipartiteGraph(
         2,
         2,
@@ -206,6 +193,24 @@ def test_realize_set_rejects_empty_set():
         realize_set([])
 
 
+@pytest.mark.parametrize("bad", [[2.7], "12", [1, 0.5, 3], [-1.5], [float("inf")], [float("nan")], ["a"]])
+def test_realize_set_refuses_non_integral_entries(bad):
+    # int() would truncate them, and the postcondition checks against the
+    # truncated set, so the refusal must come first
+    with pytest.raises(ValueError, match="must be integers"):
+        realize_set(bad)
+
+
+def test_realize_set_accepts_integral_floats():
+    assert realize_set([2.0, -1.0]) == realize_set({2, -1})
+
+
+def test_realize_set_reads_a_one_shot_iterator_once():
+    # the entries are checked and then collected, so a generator must be
+    # read into a list first
+    assert signed_degree_set(realize_set(x for x in (2, -1, 2)).graph) == {2, -1}
+
+
 def test_realize_set_accepts_any_iterable_with_duplicates():
     report = realize_set([1, 1, -2, 1])
     assert signed_degree_set(report.graph) == {1, -2}
@@ -281,7 +286,7 @@ def _paper_block_graph(s):
 @settings(max_examples=100, deadline=None)
 @given(st.sets(st.integers(1, 15), min_size=1, max_size=8))
 def test_positive_construction_matches_blockwise_joins(target):
-    assert realize_positive_set(target).graph == _paper_block_graph(target)
+    assert realize_set(target).graph == _paper_block_graph(target)
 
 
 WIDE_TARGETS = [range(1, 41), range(-30, 31), (1, 200), (-120, 0, 90)]
@@ -343,6 +348,22 @@ def test_realize_module_keeps_the_core_names_perfbench_wraps():
     # perfbench/tracing.py wraps these names by attribute on sdegree.realize
     for name in ("join_all_positive", "signed_degree_set", "is_connected", "signed_degree_sequences"):
         assert callable(getattr(realize_module, name))
+
+
+def test_perfbench_tracing_installs_on_the_package():
+    # perfbench's traced runs call this install before any command; it
+    # wraps names on the sdegree modules by attribute, so a deleted or
+    # renamed name fails here
+    root = Path(__file__).resolve().parent.parent
+    src = str(Path(sdegree.__file__).resolve().parent.parent)
+    script = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(root / 'perfbench')!r}, {src!r}]\n"
+        "import tracing\n"
+        "tracing.install(tracing.Tracer(), cli=True)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_postcondition_survives_python_optimize():
