@@ -7,7 +7,8 @@ pair holds one of {absent, +, -}.  The oracles know the degree sequence of
 every one of them, from a census that grows graphs one vertex at a time and
 merges vertices of equal degree, so it never lists the 3**slots graphs
 themselves.  They are unarguable, which makes them the referees for the
-reduction-based deciders.
+fast deciders: the paper's reductions for sequences and the closed-form
+Gale-Ryser test for bipartite pairs.
 """
 
 import itertools

@@ -7,7 +7,8 @@ What lives here:
 - is_s_graphical_branching / is_s_graphical_deterministic: decide whether an
   integer sequence is the signed degree sequence of some signed graph;
 - is_bipartite_s_graphical and gale_ryser: the bipartite analogues, signed
-  and unsigned;
+  and unsigned, both Gale-Ryser dominance tests on one count table, with
+  reduce_pair as the paper's step for pairs;
 - oracles that know every degree sequence of every small graph, from a
   census grown one vertex at a time, used to cross-check all of the above;
 - a plain-text edge-list format, DOT export, and a command line front end

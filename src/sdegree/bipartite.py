@@ -1,17 +1,18 @@
 """Deciders for degree data of bipartite graphs.
 
 is_bipartite_s_graphical answers whether two integer sequences can appear as
-the part-wise signed degree sequences of one signed bipartite graph, via a
-depth-first search of head-removal steps over orientation-normalised pairs.
-The search is a loop whose memo of failed pairs lives for one call, so no
-state outlives the call and no input length meets Python's recursion limit.
-Each head-removal step is one call of reduce_pair.  It sorts its arguments,
-which is a linear pass on the sorted tuples the search hands it, and builds
-the two shifted spans of beta with list comprehensions.  The search orients
-each pair by looking only at the two ends, the length and the sum of each
-side, and builds a negated tuple only for the orientation it picks.
-gale_ryser is the classical dominance test for unsigned bipartite degree
-pairs, in O(p + q) time after its input checks.
+the part-wise signed degree sequences of one signed bipartite graph, in
+closed form.  Adding 1 to every entry of a signed biadjacency matrix gives a
+matrix with entries in 0..2, row sums alpha_i + q and column sums
+beta_j + p, and every such matrix comes from one signed bipartite graph.  So
+the pair is realizable iff those margins pass the Gale-Ryser test for
+matrices with entries 0..2 (max-flow min-cut).  gale_ryser is the classical
+test for unsigned bipartite degree pairs, entries 0..1.  Both run the same
+count-table dominance check, in O(p + q) after sorting.
+
+reduce_pair is the paper's head-removal step.  No decider here calls it; the
+tests compose it into the paper's pair reduction and hold the closed form to
+that.
 """
 
 from __future__ import annotations
@@ -27,31 +28,39 @@ def _desc(seq: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(seq, reverse=True))
 
 
-def _negated(seq: tuple[int, ...]) -> tuple[int, ...]:
-    # seq is sorted non-increasing, so its negation reversed is too
-    return tuple([-x for x in reversed(seq)])
+def _integral(x) -> bool:
+    try:
+        return int(x) == x
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
-def _standard_orientation(
-    a: tuple[int, ...], b: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    # The first standard orientation of a sorted pair, leading side first,
-    # in the order: as given, jointly negated, swapped, both (negating flips
-    # every edge sign of a witness, swapping transposes the parts; neither
-    # changes realizability).  The leading side's head must be positive and
-    # its largest magnitude, at most the other side's length and at least
-    # the other side's largest magnitude, which must be at most the leading
-    # side's length; the sums must agree.  Both tuples are sorted
-    # non-increasing, so a side's largest magnitude sits at one of its ends,
-    # and only the chosen negated tuples are built.
-    if not a or not b:
-        return None
-    top_a, top_b = max(a[0], -a[-1]), max(b[0], -b[-1])
-    if top_a > len(b) or top_b > len(a) or top_a == top_b == 0 or sum(a) != sum(b):
-        return None
-    if top_a >= top_b:
-        return (a, b) if a[0] == top_a else (_negated(a), _negated(b))
-    return (b, a) if b[0] == top_b else (_negated(b), _negated(a))
+def _integers(seq: Iterable) -> list[int]:
+    # The entries as ints; integral floats such as 1.0 count as integers.
+    vals = list(seq)
+    try:
+        whole = list(map(int, vals))
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole != vals:
+        bad = next(x for x in vals if not _integral(x))
+        raise ValueError(f"entries must be integers, got {bad!r}")
+    return whole
+
+
+def _dominated(rows: list[int], cols: list[int], cap: int) -> bool:
+    # True when every prefix sum of rows (sorted non-increasing) is at most
+    # sum(min(cap*k, c_j)).  sum(min(m, c_j)) is the sum over t = 1..m of
+    # #{j : c_j >= t} = len(cols) - #{j : c_j < t}; tally[v] counts the c_j
+    # equal to v, with every c_j >= top in tally[top], since no m beyond
+    # top = cap * len(rows) is asked.
+    top = cap * len(rows)
+    tally = [0] * (top + 1)
+    for y in cols:
+        tally[y if y < top else top] += 1
+    below = accumulate(tally)  # m-th value: #{j : c_j < m}
+    caps = accumulate(map(sub, repeat(len(cols)), below))  # m-th: sum(min(m, c_j))
+    return all(map(le, accumulate(rows), islice(caps, cap - 1, None, cap)))
 
 
 def reduce_pair(
@@ -83,30 +92,19 @@ def reduce_pair(
 
 def is_bipartite_s_graphical(alpha: Iterable[int], beta: Iterable[int]) -> bool:
     """True when some signed bipartite graph has alpha and beta as its
-    part-wise signed degree sequences (as multisets)."""
-    a, b = _desc(alpha), _desc(beta)
-    if not any(a) and not any(b):
-        return True  # edgeless layout
-    oriented = _standard_orientation(a, b)
-    if oriented is None:
+    part-wise signed degree sequences (as multisets).
+
+    Entries must be integers, where integral floats such as 1.0 count as
+    integers; any other entry raises ValueError.  Runs in O(p + q) after
+    sorting alpha, for p = len(alpha), q = len(beta).
+    """
+    a, b = _integers(alpha), _integers(beta)
+    p, q = len(a), len(b)
+    # margins alpha_i + q in 0..2q and beta_j + p in 0..2p, with equal sums
+    if max(map(abs, a), default=0) > q or max(map(abs, b), default=0) > p or sum(a) != sum(b):
         return False
-    # Depth-first over standard orientations, each stacked with the next
-    # shift to try; one already searched in this call failed, because a
-    # success ends the search.
-    seen = {oriented}
-    stack = [(*oriented, 0)]
-    while stack:
-        a, b, s = stack.pop()
-        if s < (len(b) - a[0]) // 2:
-            stack.append((a, b, s + 1))
-        a, b = reduce_pair(a, b, a[0] + s, s)
-        if not any(a) and not any(b):
-            return True  # edgeless layout, including an exhausted leading side
-        oriented = _standard_orientation(a, b)
-        if oriented is not None and oriented not in seen:
-            seen.add(oriented)
-            stack.append((*oriented, 0))
-    return False
+    rows = sorted([x + q for x in a], reverse=True)
+    return _dominated(rows, [y + p for y in b], 2)
 
 
 def gale_ryser(d: Sequence[int], e: Sequence[int]) -> bool:
@@ -117,25 +115,9 @@ def gale_ryser(d: Sequence[int], e: Sequence[int]) -> bool:
     integers, where integral floats such as 1.0 count as integers.  Runs in
     O(p + q) for p = len(d), q = len(e).
     """
-    d = list(d)
-    e = list(e)
+    d, e = _integers(d), _integers(e)
     if min(d, default=0) < 0 or min(e, default=0) < 0:
         raise ValueError("entries must be non-negative")
     if not all(map(ge, d, islice(d, 1, None))):
         raise ValueError("d must be sorted non-increasing")
-    whole = list(map(int, e))  # e indexes the count table below
-    if whole != e or d != list(map(int, d)):
-        raise ValueError("entries must be integers")
-    e = whole
-    if sum(d) != sum(e):
-        return False
-    # sum(min(k, e_j)) = sum over t = 1..k of #{j : e_j >= t}, and
-    # #{j : e_j >= t} = q - #{j : e_j < t}; tally[v] counts the e_j equal to
-    # v, with every e_j >= p in tally[p], since no k beyond p is asked.
-    p = len(d)
-    tally = [0] * (p + 1)
-    for y in e:
-        tally[y if y < p else p] += 1
-    below = accumulate(tally)  # k-th value: #{j : e_j < k}
-    caps = accumulate(map(sub, repeat(len(e)), below))  # k-th: sum(min(k, e_j))
-    return all(map(le, accumulate(d), caps))
+    return sum(d) == sum(e) and _dominated(d, e, 1)

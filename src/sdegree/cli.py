@@ -115,8 +115,14 @@ def _cmd_check_seq(args) -> int:
     return 0
 
 
+_PAIR_DECIDERS = {
+    "gale-ryser": "is_bipartite_s_graphical",
+    "oracle": "oracle_bipartite",
+}
+
+
 def _cmd_check_pair(args) -> int:
-    decide = _lib.is_bipartite_s_graphical if args.method == "reduction" else _lib.oracle_bipartite
+    decide = getattr(_lib, _PAIR_DECIDERS[args.method])
     print(f"s-graphical: {_word(decide(_ints(args.alpha), _ints(args.beta)))}")
     return 0
 
@@ -168,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check_pair.add_argument("--alpha", required=True, help="U-side sequence")
     check_pair.add_argument("--beta", required=True, help="V-side sequence")
-    check_pair.add_argument("--method", choices=("reduction", "oracle"), default="reduction")
+    check_pair.add_argument("--method", choices=tuple(_PAIR_DECIDERS), default="gale-ryser")
     check_pair.set_defaults(func=_cmd_check_pair)
 
     ryser = sub.add_parser("gale-ryser", help="test an unsigned bipartite degree pair")

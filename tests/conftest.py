@@ -1,4 +1,5 @@
-"""Shared test helpers: brute-force censuses and graph strategies."""
+"""Shared test helpers: brute-force censuses, the paper's pair reduction and
+graph strategies."""
 
 import itertools
 import random
@@ -6,7 +7,14 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from sdegree import Sign, SignedBipartiteGraph, degree_vectors, is_connected, signed_degree_set
+from sdegree import (
+    Sign,
+    SignedBipartiteGraph,
+    degree_vectors,
+    is_connected,
+    reduce_pair,
+    signed_degree_set,
+)
 
 # The exhaustive definitions the oracle censuses are checked against: every
 # vertex pair (or U x V pair) is a slot holding one of absent, positive,
@@ -63,6 +71,65 @@ def unsigned_bipartite_census(p: int, q: int) -> frozenset:
             dv[v] += bit
         seen.add((tuple(sorted(du, reverse=True)), tuple(sorted(dv, reverse=True))))
     return frozenset(seen)
+
+
+def desc(seq) -> tuple:
+    return tuple(sorted(seq, reverse=True))
+
+
+def _lead_side_standard(a, b) -> bool:
+    # the standard-pair conditions, written entry by entry
+    p, q = len(a), len(b)
+    if not a or all(x == 0 for x in a):
+        return False
+    if a[0] <= 0 or a[0] < -a[-1]:
+        return False
+    if sum(a) != sum(b):
+        return False
+    if any(abs(x) > q for x in a):
+        return False
+    return not any(abs(y) > p or abs(y) > a[0] for y in b)
+
+
+def standard_orientation(a, b):
+    """The first of the four orientations of a sorted pair that passes the
+    standard-pair conditions, leading side first: as given, jointly negated,
+    swapped, both (negating flips every edge sign of a witness, swapping
+    transposes the parts; neither changes realizability); or None."""
+    neg_a, neg_b = desc(-x for x in a), desc(-y for y in b)
+    for x, y in ((a, b), (neg_a, neg_b), (b, a), (neg_b, neg_a)):
+        if _lead_side_standard(x, y):
+            return x, y
+    return None
+
+
+def _pair_shifts(lead, other):
+    d1 = lead[0]
+    for s in range((len(other) - d1) // 2 + 1):
+        yield reduce_pair(lead, other, d1 + s, s)
+
+
+def pair_reference(alpha, beta) -> bool:
+    """The paper's pair reduction, composed from the public reduce_pair: a
+    pair is realizable iff it is all zero, or its standard orientation has
+    some shift whose head-removal step leaves a realizable pair.  A
+    depth-first search over every admissible shift, exponential in the
+    worst case."""
+    seen = set()
+    stack = [iter([(desc(alpha), desc(beta))])]
+    while stack:
+        pair = next(stack[-1], None)
+        if pair is None:
+            stack.pop()
+            continue
+        a, b = pair
+        if all(x == 0 for x in a) and all(y == 0 for y in b):
+            return True
+        oriented = standard_orientation(a, b)
+        if oriented is not None and oriented not in seen:
+            seen.add(oriented)
+            stack.append(_pair_shifts(*oriented))
+    return False
 
 
 ACCEPTANCE_SEED = 20260814

@@ -130,11 +130,13 @@ def test_criterion_5_deterministic_matches_branching():
 
 
 def test_criterion_6_bipartite_decider_matches_oracle():
+    # every pair of multisets, entries bounded by the other part's size, of
+    # every shape with p*q <= 12: 156,972 pairs
     failures = []
-    for p in range(1, 4):
-        for q in range(1, 4):
-            for alpha in itertools.product(range(-q, q + 1), repeat=p):
-                for beta in itertools.product(range(-p, p + 1), repeat=q):
+    for p in range(1, 13):
+        for q in range(1, 12 // p + 1):
+            for alpha in itertools.combinations_with_replacement(range(-q, q + 1), p):
+                for beta in itertools.combinations_with_replacement(range(-p, p + 1), q):
                     if is_bipartite_s_graphical(alpha, beta) != oracle_bipartite(
                         alpha, beta
                     ):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,16 +14,16 @@ from sdegree import (
     oracle_bipartite,
     reduce_pair,
 )
-from sdegree.bipartite import _desc, _standard_orientation
 from sdegree.core import signed_degree_sequences
 
-from .conftest import bipartite_graphs, unsigned_bipartite_census
+from .conftest import bipartite_graphs, desc, standard_orientation, unsigned_bipartite_census
 
 
 def is_standard_pair(alpha, beta):
     # some orientation (optional joint negation, either side leading) of the
-    # pair, taken as two multisets, passes the standard-pair conditions
-    return _standard_orientation(_desc(alpha), _desc(beta)) is not None
+    # pair, taken as two multisets, passes the standard-pair conditions of
+    # the paper's reduction
+    return standard_orientation(desc(alpha), desc(beta)) is not None
 
 
 class TestIsStandardPair:
@@ -114,6 +115,33 @@ class TestBipartiteDecider:
         assert is_bipartite_s_graphical([], [])
         assert is_bipartite_s_graphical([0], [])
         assert not is_bipartite_s_graphical([1], [])
+
+    def test_accepts_integral_floats(self):
+        assert is_bipartite_s_graphical([1.0], [1.0]) is True
+        assert is_bipartite_s_graphical([1.0, -1], [0.0]) is True
+
+    @pytest.mark.parametrize(
+        "alpha, beta, entry",
+        [
+            ([1.5], [1.5], "1.5"),
+            (["1"], ["1"], "'1'"),
+            ([1], [0.5, 0.5], "0.5"),
+            ([float("nan")], [0], "nan"),
+            ([None], [0], "None"),
+        ],
+    )
+    def test_rejects_non_integral_entries(self, alpha, beta, entry):
+        with pytest.raises(ValueError, match=f"integers, got {entry}$"):
+            is_bipartite_s_graphical(alpha, beta)
+
+    def test_3000_ones_each_side_in_linear_memory(self):
+        tracemalloc.start()
+        try:
+            assert is_bipartite_s_graphical([1] * 3000, [1] * 3000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     @given(
         st.lists(st.integers(-3, 3), min_size=1, max_size=4),
@@ -213,12 +241,11 @@ class TestGaleRyser:
 @settings(max_examples=200)
 @given(bipartite_graphs(max_side=8))
 def test_decider_handles_sizes_beyond_the_oracle(g):
-    # no guard here: the reduction works at sizes enumeration cannot reach
+    # no guard here: the closed form works at sizes enumeration cannot reach
     assert is_bipartite_s_graphical(*signed_degree_sequences(g))
 
 
 def test_decider_accepts_a_random_300_by_300_graph():
-    # 300 reduction steps deep; runs at the default recursion limit
     rng = random.Random(300)
     edges = {
         (u, v): rng.choice((Sign.POSITIVE, Sign.NEGATIVE))

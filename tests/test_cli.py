@@ -9,6 +9,7 @@ import pytest
 
 import sdegree
 from sdegree import connected_degree_sets, parse_graph
+from sdegree import cli
 from sdegree.cli import cli_main
 
 
@@ -47,8 +48,6 @@ def test_check_seq_all_methods_agree(capsys, method, expected):
 
 
 def test_check_seq_defaults_to_deterministic(capsys, monkeypatch):
-    import sdegree.cli as cli
-
     monkeypatch.setattr(cli, "is_s_graphical_branching", None)  # never called
     code, out, _ = run(capsys, "check-seq", "--seq", "2,2,-1,-1")
     assert code == 0
@@ -83,13 +82,21 @@ def test_check_seq_tolerates_spaces(capsys):
     assert out == "s-graphical: true\n"
 
 
-@pytest.mark.parametrize("method", ["reduction", "oracle"])
+@pytest.mark.parametrize("method", list(cli._PAIR_DECIDERS))
 def test_check_pair(capsys, method):
     code, out, _ = run(
         capsys, "check-pair", "--alpha", "2,-2", "--beta", "1,-1", "--method", method
     )
     assert code == 0
     assert out == "s-graphical: false\n"
+
+
+def test_check_pair_reduction_method_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "check-pair", "--alpha", "1", "--beta", "1", "--method", "reduction"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: ") and "'reduction'" in err
 
 
 ONES_800 = ",".join(["1"] * 800)
@@ -228,8 +235,6 @@ class TestExitCodes:
 
 
 def test_main_raises_system_exit(monkeypatch, capsys):
-    import sdegree.cli as cli
-
     monkeypatch.setattr("sys.argv", ["sdegree", "check-seq", "--seq", "1,1"])
     with pytest.raises(SystemExit) as excinfo:
         cli.main()
@@ -299,14 +304,10 @@ CLI_LIBRARY_NAMES = [
 def test_cli_names_are_module_attributes(name):
     # callers may wrap any of these on sdegree.cli, so each must resolve there
     # and be the library's own function
-    import sdegree.cli as cli
-
     assert getattr(cli, name) is getattr(sdegree, name)
 
 
 def test_commands_call_through_the_module_attributes(monkeypatch, capsys):
-    import sdegree.cli as cli
-
     calls = []
 
     def stub(d, e):
@@ -321,8 +322,6 @@ def test_commands_call_through_the_module_attributes(monkeypatch, capsys):
 
 def test_every_public_name_resolves_and_is_listed():
     import importlib
-
-    import sdegree.cli as cli
 
     listed = dir(sdegree)
     for name in sdegree.__all__:

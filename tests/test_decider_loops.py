@@ -1,10 +1,12 @@
-"""The deciders orient and pick pivots through private, unchecked helpers on
-plain lists, and reduce through reduce_hakimi and reduce_pair.  These tests
-hold them to the public step functions: a reference that composes
-normalize_standard, reduce_hakimi, choose_m and reduce_pair step by step must
-reach the same verdict, at sizes beyond the oracles' range.  The step
-functions and the pair orientation are in turn held to plain elementwise
-versions of themselves: same result, or same exception type and message."""
+"""The sequence deciders orient and pick pivots through private, unchecked
+helpers on plain lists, and reduce through reduce_hakimi.  These tests hold
+them to the public step functions: a reference that composes
+normalize_standard, reduce_hakimi and choose_m step by step must reach the
+same verdict, at sizes beyond the oracles' range.  The pair decider is a
+closed form, held the same way to the paper's pair reduction composed from
+reduce_pair (conftest.pair_reference).  The step functions are in turn held
+to plain elementwise versions of themselves: same result, or same exception
+type and message."""
 
 import itertools
 from itertools import chain, islice, repeat
@@ -17,7 +19,6 @@ from sdegree import (
     AllZero,
     NotStandard,
     Standard,
-    bipartite,
     choose_m,
     is_bipartite_s_graphical,
     is_s_graphical_branching,
@@ -27,6 +28,8 @@ from sdegree import (
     reduce_pair,
     sgraphical,
 )
+
+from .conftest import desc, pair_reference
 
 
 def _shifts(vals):
@@ -58,56 +61,6 @@ def deterministic_reference(seq):
         vals = norm.values
         norm = normalize_standard(reduce_hakimi(vals, choose_m(vals)))
     return isinstance(norm, AllZero)
-
-
-def _desc(seq):
-    return tuple(sorted(seq, reverse=True))
-
-
-def _lead_side_standard(a, b):
-    # the standard-pair conditions, written entry by entry
-    p, q = len(a), len(b)
-    if not a or all(x == 0 for x in a):
-        return False
-    if a[0] <= 0 or a[0] < -a[-1]:
-        return False
-    if sum(a) != sum(b):
-        return False
-    if any(abs(x) > q for x in a):
-        return False
-    return not any(abs(y) > p or abs(y) > a[0] for y in b)
-
-
-def _standard_orientation(a, b):
-    neg_a, neg_b = _desc(-x for x in a), _desc(-y for y in b)
-    for x, y in ((a, b), (neg_a, neg_b), (b, a), (neg_b, neg_a)):
-        if _lead_side_standard(x, y):
-            return x, y
-    return None
-
-
-def _pair_shifts(lead, other):
-    d1 = lead[0]
-    for s in range((len(other) - d1) // 2 + 1):
-        yield reduce_pair(lead, other, d1 + s, s)
-
-
-def pair_reference(alpha, beta):
-    seen = set()
-    stack = [iter([(_desc(alpha), _desc(beta))])]
-    while stack:
-        pair = next(stack[-1], None)
-        if pair is None:
-            stack.pop()
-            continue
-        a, b = pair
-        if all(x == 0 for x in a) and all(y == 0 for y in b):
-            return True
-        oriented = _standard_orientation(a, b)
-        if oriented is not None and oriented not in seen:
-            seen.add(oriented)
-            stack.append(_pair_shifts(*oriented))
-    return False
 
 
 @st.composite
@@ -196,22 +149,18 @@ def _refuse(*args, **kwargs):
 def test_each_reduction_step_is_one_call_of_the_public_step(monkeypatch):
     # Orientation and the pivot run as private helpers, so wrappers around
     # normalize_standard and choose_m count 0 calls; every reduction step is
-    # one call of reduce_hakimi or reduce_pair, which wrappers count.
-    calls = {"reduce_hakimi": 0, "reduce_pair": 0}
+    # one call of reduce_hakimi, which a wrapper counts.
+    calls = 0
+    step = sgraphical.reduce_hakimi
 
-    def counted(module, name):
-        step = getattr(module, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return step(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return step(*args)
 
     monkeypatch.setattr(sgraphical, "normalize_standard", _refuse)
     monkeypatch.setattr(sgraphical, "choose_m", _refuse)
-    counted(sgraphical, "reduce_hakimi")
-    counted(bipartite, "reduce_pair")
+    monkeypatch.setattr(sgraphical, "reduce_hakimi", counted)
     for seq, expected in (
         ([1, 1], True),
         ([2, 2, -1, -1], False),
@@ -222,17 +171,8 @@ def test_each_reduction_step_is_one_call_of_the_public_step(monkeypatch):
         assert is_s_graphical_branching(seq) is expected, seq
         assert is_s_graphical_deterministic(seq) is expected, seq
     # [5] * 6 admits only shift 0 at every step: 5 steps reach all zeros
-    calls["reduce_hakimi"] = 0
-    assert is_s_graphical_deterministic([5] * 6) and calls["reduce_hakimi"] == 5
-    for alpha, beta, expected in (
-        ([1], [1, 1, -1], True),
-        ([2, -2], [1, -1], False),
-        ([3], [1, 1, 1], True),
-        ([2, 2], [2, -2], False),
-    ):
-        assert is_bipartite_s_graphical(alpha, beta) is expected, (alpha, beta)
-    calls["reduce_pair"] = 0
-    assert is_bipartite_s_graphical([3], [1, 1, 1]) and calls["reduce_pair"] == 1
+    calls = 0
+    assert is_s_graphical_deterministic([5] * 6) and calls == 5
 
 
 def reduce_hakimi_elementwise(seq, s):
@@ -258,8 +198,8 @@ def reduce_hakimi_elementwise(seq, s):
 
 def reduce_pair_elementwise(alpha, beta, r, s):
     # reduce_pair with spans that map add over the entries of beta
-    a = _desc(alpha)
-    b = _desc(beta)
+    a = desc(alpha)
+    b = desc(beta)
     if not a:
         raise ValueError("alpha must be nonempty")
     d1 = a[0]
@@ -269,7 +209,7 @@ def reduce_pair_elementwise(alpha, beta, r, s):
     if s > (q - d1) // 2:
         raise ValueError(f"shift s={s} outside [0, {(q - d1) // 2}] for head {d1}, q={q}")
     stepped = chain(map(add, b[:r], repeat(-1)), b[r : q - s], map(add, b[q - s :], repeat(1)))
-    return a[1:], _desc(stepped)
+    return a[1:], desc(stepped)
 
 
 def _outcome(step, *args):
@@ -336,27 +276,3 @@ def pair_step_arguments(draw):
 @given(pair_step_arguments())
 def test_reduce_pair_matches_the_elementwise_step(arguments):
     assert _outcome(reduce_pair, *arguments) == _outcome(reduce_pair_elementwise, *arguments)
-
-
-@settings(max_examples=500)
-@given(
-    st.one_of(
-        pairs(max_side=10),
-        st.tuples(
-            st.lists(st.integers(-6, 6), max_size=6),
-            st.lists(st.integers(-6, 6), max_size=6),
-        ),
-    )
-)
-@example(([1], [1, 1, -1]))  # standard as given
-@example(([0, 0], [1, -1]))  # after swapping sides
-@example(([-1], [-1, -1, 1]))  # after joint negation
-@example(([1], [-1]))  # unequal sums
-@example(([3], [1, 1]))  # an entry beyond the other part's size
-@example(([0], [0, 0]))  # all zero
-@example(([2, -2], [1, -1]))  # standard, yet not realizable
-def test_pair_orientation_matches_the_four_orientations_entry_by_entry(pair):
-    # the orientation picked from the ends of each side is the first of the
-    # four that passes the conditions written entry by entry
-    a, b = _desc(pair[0]), _desc(pair[1])
-    assert bipartite._standard_orientation(a, b) == _standard_orientation(a, b)
