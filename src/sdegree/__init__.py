@@ -3,7 +3,9 @@
 What lives here:
 
 - realize_set: build a connected signed bipartite graph whose set of
-  distinct signed degrees is any prescribed nonempty set of integers;
+  distinct signed degrees is any prescribed nonempty set of integers, and
+  write_realization: write that graph's documents straight from the
+  construction, without building it;
 - is_s_graphical_branching / is_s_graphical_deterministic: decide whether an
   integer sequence is the signed degree sequence of some signed graph;
 - is_bipartite_s_graphical and gale_ryser: the bipartite analogues, signed
@@ -39,6 +41,7 @@ _MODULE_OF = {
     "oracle_s_graphical": "oracle",
     "RealizationReport": "realize",
     "realize_set": "realize",
+    "write_realization": "realize",
     "AllZero": "sgraphical",
     "NormalForm": "sgraphical",
     "NotStandard": "sgraphical",

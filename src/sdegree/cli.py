@@ -5,6 +5,8 @@ enumerate.  Exit codes: 0 success, 1 usage or input errors, 2 when a size
 limit is exceeded: an oracle size guard, or a set element or declared part
 size above sys.maxsize, which cannot size a list or range.
 Output is deterministic: identical argv always produces identical stdout.
+``realize`` builds no graph: it checks the construction on its layout and
+writes ``--out`` and ``--dot`` from it row by row (``write_realization``).
 """
 
 from __future__ import annotations
@@ -21,9 +23,12 @@ __all__ = ["cli_main", "main"]
 # its module on first use and is then bound here, so a command imports only
 # what it calls, and a replacement set on this module takes effect.
 _MODULE_OF = {
-    "realize_set": "realize",
-    "emit_graph": "textio",
-    "emit_dot": "textio",
+    "write_realization": "realize",
+    # No command calls the next three; perfbench/tracing.CLI_NAMES wraps each
+    # of them on this module.
+    "realize_set": "realize",  # realize calls write_realization
+    "emit_graph": "textio",  # realize writes --out through write_realization
+    "emit_dot": "textio",  # realize writes --dot through write_realization
     "parse_graph": "textio",
     "signed_degree_set": "core",
     "is_connected": "core",
@@ -82,24 +87,18 @@ def _word(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _write(path: str, text: str) -> None:
-    # plain open(), not pathlib, which would add to every process's start-up
-    with open(path, "w") as out:
-        out.write(text)
-
-
 def _cmd_realize(args) -> int:
     targets = _ints(args.set)
     for x in targets:
         _sizable(x, "set element")
-    report = _lib.realize_set(targets)
-    graph = report.graph
-    print(f"case: {report.case_used}")
-    print(f"|U|={graph.p} |V|={graph.q}")
-    if args.out:
-        _write(args.out, _lib.emit_graph(graph))
-    if args.dot:
-        _write(args.dot, _lib.emit_dot(graph))
+    # The case and sizes print before any file is opened, so they show even
+    # when a file cannot be written; the first call writes nothing and takes
+    # time polynomial in the set's length.
+    case, p, q = _lib.write_realization(targets)
+    print(f"case: {case}")
+    print(f"|U|={p} |V|={q}")
+    if args.out or args.dot:
+        _lib.write_realization(targets, args.out or None, args.dot or None)
     return 0
 
 

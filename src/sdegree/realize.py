@@ -8,19 +8,29 @@ other mixture is glued from those pieces with degree-neutral edges: each
 touched vertex gains one positive and one negative edge, so existing signed
 degrees never move.
 
-Until its last step a construction is a ``_Layout``: part sizes, a list of
-signed rectangles (a complete join of two vertex ranges, all of one sign), a
-few single signed edges (the zero square, the gadget and the bridges) and
-label runs.  A disjoint union only offsets ranges and the sign mirror only
-flips signs, so ``realize_set`` creates every edge once, in time linear in
-the edge count, and validates the graph once; its degree set and
-connectivity are checked once, at the public boundary.
+A construction is a ``_Layout``: part sizes, a list of signed rectangles (a
+complete join of two vertex ranges, all of one sign), a few single signed
+edges (the zero square, the gadget and the bridges) and label runs.  A
+disjoint union only offsets ranges and the sign mirror only flips signs.
+
+The construction is checked once, on its layout, by ``_survey``: each part
+is cut into intervals at the rectangles' bounds, so the vertices of an
+interval share every neighbour, and the degree of every interval,
+connectivity and the pairwise disjointness of the rectangles and single
+edges follow in time polynomial in the number of pieces, O(|S|^2), whatever
+their sizes.  ``realize_set`` then creates every edge once and validates
+the graph once, by its constructor.  ``write_realization`` builds no graph:
+it writes ``emit_graph``'s and ``emit_dot``'s bytes row by row, from each U
+interval's sorted V spans, through the one writer of each format in
+``sdegree.textio``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from itertools import chain, product, repeat
+from collections.abc import Iterable, Iterator
+from itertools import accumulate, chain, product, repeat
+from operator import attrgetter
+from os import PathLike
 from typing import NamedTuple
 
 from .core import (  # noqa: F401 -- perfbench/tracing.py wraps the unused names here
@@ -31,8 +41,9 @@ from .core import (  # noqa: F401 -- perfbench/tracing.py wraps the unused names
     signed_degree_sequences,
     signed_degree_set,
 )
+from .textio import write_dot_rows, write_rows
 
-__all__ = ["RealizationReport", "realize_set"]
+__all__ = ["RealizationReport", "realize_set", "write_realization"]
 
 _POS, _NEG = Sign.POSITIVE, Sign.NEGATIVE
 _FLIPPED = {_POS: _NEG, _NEG: _POS}
@@ -236,15 +247,116 @@ def _graph(g: _Layout) -> SignedBipartiteGraph:
     return SignedBipartiteGraph(g.p, g.q, edges, labels)
 
 
-def realize_set(s: Iterable[int]) -> RealizationReport:
-    """Build a connected signed bipartite graph whose set of distinct signed
-    degrees is exactly s, dispatching on the sign pattern of s.
+def _pieces(g: _Layout) -> list[tuple[range, range, Sign]]:
+    """A layout's edges as signed rectangles, ordered by where their V range
+    starts: each rectangle that holds an edge, and each single edge as a
+    1 x 1 rectangle."""
+    singles = [(range(u, u + 1), range(v, v + 1), sign) for (u, v), sign in g.singles]
+    pieces = [rect for rect in g.rects if rect[0] and rect[1]] + singles
+    pieces.sort(key=lambda piece: piece[1].start)
+    return pieces
 
-    An empty s, or an entry that is not an integer, raises ValueError;
-    integral floats such as 2.0 count as integers.  The graph is validated
-    once and its degree set and connectivity are checked once; a miss
-    raises AssertionError, also under ``python -O``.
-    """
+
+def _cut(ranges: list[range], size: int) -> tuple[list[range], list[range], list[list[int]]]:
+    """range(size) cut at both ends of every range: the intervals in order,
+    the run of intervals each range covers, and the ranges covering each
+    interval, by index.  The vertices of one interval share every
+    neighbour.  A range outside range(size) raises AssertionError."""
+    cuts = sorted({0, size}.union(map(attrgetter("start"), ranges), map(attrgetter("stop"), ranges)))
+    if cuts[0] < 0 or cuts[-1] > size:
+        raise AssertionError("a piece of the layout lies outside its part")
+    at = {cut: i for i, cut in enumerate(cuts)}
+    runs = [range(at[r.start], at[r.stop]) for r in ranges]
+    cover: list[list[int]] = [[] for _ in cuts[1:]]
+    for k, run in enumerate(runs):
+        for i in run:
+            cover[i].append(k)
+    return list(map(range, cuts, cuts[1:])), runs, cover
+
+
+def _degrees(runs: list[range], widths: Iterable[int], intervals: int) -> list[int]:
+    """The signed degree of each interval's vertices: the sum of the signed
+    widths of the pieces covering it, by one prefix sum."""
+    step = [0] * (intervals + 1)
+    for run, width in zip(runs, widths):
+        step[run.start] += width
+        step[run.stop] -= width
+    return list(accumulate(step[:-1]))
+
+
+def _connected(pieces: int, sides: list[tuple[list[range], list[list[int]]]]) -> bool:
+    """Whether the pieces join every vertex of a graph with more than one
+    vertex, given each part's runs and covers (from ``_cut``).  Every
+    interval must be covered; then the graph is connected iff a search from
+    one piece, stepping between pieces that cover a common interval, reaches
+    them all."""
+    if not all(all(cover) for _, cover in sides):
+        return False  # the vertices of an uncovered interval have no edge
+    reached = [False] * pieces
+    seen = [[False] * len(cover) for _, cover in sides]
+    reached[0] = True
+    stack = [0]
+    while stack:
+        k = stack.pop()
+        for (runs, cover), done in zip(sides, seen):
+            for i in runs[k]:
+                if not done[i]:
+                    done[i] = True
+                    for j in cover[i]:
+                        if not reached[j]:
+                            reached[j] = True
+                            stack.append(j)
+    return all(reached)
+
+
+class _Survey(NamedTuple):
+    """What a layout's graph is, found from its pieces alone."""
+
+    rows: list[tuple[range, list[tuple[range, Sign]]]]  # each covered U interval, its V spans ascending
+    u_degrees: list[tuple[range, int]]  # each U interval and the signed degree of its vertices
+    v_degrees: list[tuple[range, int]]
+    connected: bool
+
+
+def _survey(g: _Layout) -> _Survey:
+    """The rows, degrees and connectivity of a layout's graph, in time
+    polynomial in the number of pieces and independent of their sizes; no
+    edge is made.  Raises AssertionError when a piece lies outside its part
+    or two pieces share an edge."""
+    pieces = _pieces(g)
+    us, u_runs, u_cover = _cut([xs for xs, _, _ in pieces], g.p)
+    vs, v_runs, v_cover = _cut([ys for _, ys, _ in pieces], g.q)
+    rows = []
+    for interval, cover in zip(us, u_cover):
+        if cover:
+            spans = [pieces[k][1:] for k in cover]  # ascending by start, as the pieces are
+            # two pieces share an edge iff they cover a common U interval and overlap on V
+            for (a, _), (b, _) in zip(spans, spans[1:]):
+                if a.stop > b.start:
+                    raise AssertionError(f"two pieces of the layout share an edge at u{interval.start + 1}")
+            rows.append((interval, spans))
+    signs = [1 if sign is _POS else -1 for _, _, sign in pieces]
+    du = _degrees(u_runs, [s * (ys.stop - ys.start) for s, (_, ys, _) in zip(signs, pieces)], len(us))
+    dv = _degrees(v_runs, [s * (xs.stop - xs.start) for s, (xs, _, _) in zip(signs, pieces)], len(vs))
+    connected = g.p + g.q == 1 or _connected(len(pieces), [(u_runs, u_cover), (v_runs, v_cover)])
+    return _Survey(rows, list(zip(us, du)), list(zip(vs, dv)), connected)
+
+
+def _checked(elems: frozenset[int]) -> tuple[_Layout, str, list[tuple[str, int]], _Survey]:
+    """The construction for elems, with its survey, checked on the layout:
+    its degree set must be elems and it must be connected and simple.  A miss
+    raises AssertionError, also under ``python -O``."""
+    layout, case, block_sizes = _build(elems)
+    survey = _survey(layout)
+    degrees = {d for _, d in survey.u_degrees} | {d for _, d in survey.v_degrees}
+    if degrees != elems or not survey.connected:
+        raise AssertionError(f"construction for {sorted(elems)} missed its target")
+    return layout, case, block_sizes, survey
+
+
+def _elements(s: Iterable[int]) -> frozenset[int]:
+    """The distinct entries of s; ValueError when s is empty or an entry is
+    not an integer."""
     s = list(s)
     for x in s:
         try:
@@ -256,8 +368,49 @@ def realize_set(s: Iterable[int]) -> RealizationReport:
     elems = frozenset(map(int, s))
     if not elems:
         raise ValueError("degree set must be nonempty")
-    layout, case, block_sizes = _build(elems)
-    graph = _graph(layout)
-    if signed_degree_set(graph) != elems or not is_connected(graph):
-        raise AssertionError(f"construction for {sorted(elems)} missed its target")
-    return RealizationReport(graph, case, block_sizes)
+    return elems
+
+
+def realize_set(s: Iterable[int]) -> RealizationReport:
+    """Build a connected signed bipartite graph whose set of distinct signed
+    degrees is exactly s, dispatching on the sign pattern of s.
+
+    An empty s, or an entry that is not an integer, raises ValueError;
+    integral floats such as 2.0 count as integers.  The construction's
+    degree set, connectivity and simplicity are checked once, on its layout,
+    and a miss raises AssertionError, also under ``python -O``; the graph is
+    then built and validated once.
+    """
+    layout, case, block_sizes, _ = _checked(_elements(s))
+    return RealizationReport(_graph(layout), case, block_sizes)
+
+
+def _per_vertex(degrees: list[tuple[range, int]]) -> Iterator[int]:
+    """The degree of each vertex in order, from (interval, degree) pairs."""
+    return chain.from_iterable(repeat(d, r.stop - r.start) for r, d in degrees)
+
+
+def write_realization(
+    s: Iterable[int], out: str | PathLike | None = None, dot: str | PathLike | None = None
+) -> tuple[str, int, int]:
+    """Realize s as ``realize_set`` does, without building the graph, and
+    return the construction case and the part sizes |U| and |V|.
+
+    The construction is checked on its layout, as in ``realize_set``.  With
+    ``out``, the file at that path receives ``emit_graph``'s document of the
+    graph, and with ``dot``, ``emit_dot``'s; each is written one U vertex at
+    a time, straight from the layout's signed rectangles.  Without them the
+    call takes time and memory polynomial in len(s), whatever the size of
+    its entries; with them, memory grows with the longest row, not with the
+    edge count.  Entries are refused as by ``realize_set``.
+    """
+    layout, case, _, survey = _checked(_elements(s))
+    p, q, rows = layout.p, layout.q, survey.rows
+    if out is not None:
+        runs = sorted(layout.labels, key=lambda label: (label[0] != "u", label[1].start))
+        with open(out, "w") as text:
+            write_rows(text, p, q, rows, ((part, i, name) for part, members, name in runs for i in members))
+    if dot is not None:
+        with open(dot, "w") as text:
+            write_dot_rows(text, p, q, _per_vertex(survey.u_degrees), _per_vertex(survey.v_degrees), rows)
+    return case, p, q

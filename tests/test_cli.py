@@ -156,6 +156,40 @@ def test_enumerate_lists_connected_degree_sets(capsys):
     assert [tuple(map(int, line.split(","))) for line in out.splitlines()] == expected
 
 
+def test_realize_reports_case_and_sizes_before_a_file_fails(tmp_path, capsys):
+    code, out, err = run(capsys, "realize", "--set", "1,2", "--out", str(tmp_path))  # a directory
+    assert code == 1
+    assert out == "case: positive\n|U|=3 |V|=3\n"
+    assert err.startswith("error:")
+
+
+def test_realize_builds_no_graph(tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(sdegree.SignedBipartiteGraph, "__post_init__", refuse)
+    out_file, dot_file = tmp_path / "g.sbg", tmp_path / "g.dot"
+    code, out, _ = run(capsys, "realize", "--set", "-2,0,3", "--out", str(out_file), "--dot", str(dot_file))
+    assert (code, out) == (0, "case: mixed_with_zero\n|U|=6 |V|=6\n")
+    assert out_file.read_text().startswith("sbg 6 6\nu1 v1 +\n")
+    assert dot_file.read_text().endswith("}\n")
+
+
+@pytest.mark.parametrize(
+    "elems, out",
+    [
+        ("1,1000000", "case: positive\n|U|=1000001 |V|=1000001\n"),
+        ("-10**15,0,10**15", "case: mixed_with_zero\n|U|=2000000000000001 |V|=2000000000000001\n"),
+    ],
+)
+def test_realize_without_files_takes_no_time_per_edge(capsys, elems, out):
+    # 10**12 and 2 * 10**30 edges; only the case and sizes are printed
+    elems = elems.replace("10**15", str(10**15))
+    started = time.perf_counter()
+    assert run(capsys, "realize", "--set", elems)[:2] == (0, out)
+    assert time.perf_counter() - started < 1.0
+
+
 def test_realize_output_parses_back_to_the_target(tmp_path, capsys):
     out_file = tmp_path / "g.sbg"
     code, _, _ = run(capsys, "realize", "--set", "3,-1,0", "--out", str(out_file))
@@ -284,6 +318,7 @@ def test_importing_the_package_loads_none_of_its_modules():
 
 
 CLI_LIBRARY_NAMES = [
+    "write_realization",
     "realize_set",
     "emit_graph",
     "emit_dot",

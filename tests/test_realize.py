@@ -1,7 +1,12 @@
 import hashlib
+import io
+import itertools
+import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,8 +21,10 @@ from sdegree import (
     is_connected,
     realize_set,
     signed_degree_set,
+    write_realization,
 )
 from sdegree import realize as realize_module
+from sdegree import textio
 from sdegree.core import join_all_positive
 from sdegree.textio import emit_dot, emit_graph
 
@@ -247,8 +254,6 @@ def test_realize_set_hits_any_target(target):
 
 
 def test_realize_set_exhaustive_small_targets():
-    import itertools
-
     for k in range(1, 5):
         for combo in itertools.combinations(range(-6, 7), k):
             report = realize_set(combo)
@@ -367,10 +372,12 @@ def test_perfbench_tracing_installs_on_the_package():
 
 
 def test_postcondition_survives_python_optimize():
+    # break the layout check's connectivity helper: realize_set must still
+    # refuse the construction with AssertionError when asserts are stripped
     script = (
         "import sys\n"
         "import sdegree.realize as realize\n"
-        "realize.is_connected = lambda g: False\n"
+        "realize._connected = lambda pieces, sides: False\n"
         "try:\n"
         "    realize.realize_set({1})\n"
         "except AssertionError:\n"
@@ -385,3 +392,146 @@ def test_postcondition_survives_python_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["raised", "1"]
+
+
+# ---------------------------------------------------------------- layout check
+
+
+def _small_layouts():
+    """The layout of every set of at most 3 elements in [-5, 5]."""
+    for k in (1, 2, 3):
+        for combo in itertools.combinations(range(-5, 6), k):
+            yield frozenset(combo), realize_module._build(frozenset(combo))[0]
+
+
+def _degree_set(survey):
+    return {d for _, d in survey.u_degrees} | {d for _, d in survey.v_degrees}
+
+
+def test_layout_survey_agrees_with_the_built_graph_when_pieces_are_dropped():
+    """Drop random rectangles and single edges from small layouts: the
+    survey's degrees, connectivity and rows must be those of the graph the
+    layout builds."""
+    rng = random.Random(15)
+    checked = disconnected = 0
+    for _, layout in _small_layouts():
+        for _ in range(5):
+            dropped = layout._replace(
+                rects=[r for r in layout.rects if rng.random() < 0.8],
+                singles=[e for e in layout.singles if rng.random() < 0.8],
+            )
+            survey = realize_module._survey(dropped)
+            graph = realize_module._graph(dropped)
+            du, dv = degree_vectors(graph)
+            assert list(realize_module._per_vertex(survey.u_degrees)) == du
+            assert list(realize_module._per_vertex(survey.v_degrees)) == dv
+            assert _degree_set(survey) == signed_degree_set(graph)
+            assert survey.connected == is_connected(graph)
+            text = io.StringIO()
+            textio.write_rows(text, dropped.p, dropped.q, survey.rows, [])
+            assert text.getvalue() == emit_graph(SignedBipartiteGraph(graph.p, graph.q, graph.edges))
+            checked += 1
+            disconnected += not survey.connected
+    assert checked == 5 * 231 and disconnected > 100
+
+
+def test_layout_survey_refuses_a_repeated_rectangle():
+    rng = random.Random(16)
+    refused = 0
+    for _, layout in _small_layouts():
+        filled = [r for r in layout.rects if r[0] and r[1]]
+        if filled:
+            twin = rng.choice(filled)
+            with pytest.raises(AssertionError, match="share an edge"):
+                realize_module._survey(layout._replace(rects=layout.rects + [twin]))
+            refused += 1
+    assert refused == 231 - 1  # {0} is the only layout without a rectangle
+
+
+def test_layout_survey_refuses_a_single_edge_inside_a_rectangle():
+    rng = random.Random(17)
+    for _, layout in _small_layouts():
+        for xs, ys, sign in layout.rects:
+            if xs and ys:
+                single = ((rng.choice(xs), rng.choice(ys)), rng.choice([Sign.POSITIVE, Sign.NEGATIVE]))
+                with pytest.raises(AssertionError, match="share an edge"):
+                    realize_module._survey(layout._replace(singles=layout.singles + [single]))
+
+
+def test_layout_survey_refuses_a_repeated_single_edge_and_a_piece_outside_its_part():
+    square = realize_module._build(frozenset({0}))[0]
+    with pytest.raises(AssertionError, match="share an edge"):
+        realize_module._survey(square._replace(singles=square.singles + square.singles[:1]))
+    layout = realize_module._build(frozenset({2}))[0]
+    xs, ys, sign = layout.rects[0]
+    for outside in ((range(xs.start, layout.p + 1), ys, sign), (xs, range(-1, ys.stop), sign)):
+        with pytest.raises(AssertionError, match="outside its part"):
+            realize_module._survey(layout._replace(rects=[outside]))
+
+
+# ---------------------------------------------------------------- the writer
+
+
+def _written(tmp_path, target):
+    out, dot = tmp_path / "g.sbg", tmp_path / "g.dot"
+    case, p, q = write_realization(target, out, dot)
+    return case, p, q, out.read_bytes(), dot.read_bytes()
+
+
+CATALOGUE = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "realize_catalogue.json"
+
+
+def test_writer_matches_the_catalogue_digests(tmp_path):
+    """Every set of the benchmark's catalogue, through the writer the CLI
+    calls: the edge-list document must hash to the digest recorded there
+    from emit_graph (the file is read, never rewritten)."""
+    entries = json.loads(CATALOGUE.read_text())["sets"]
+    assert len(entries) == 217
+    out = tmp_path / "g.sbg"
+    for entry in entries:
+        case, _, _ = write_realization(entry["set"], out)
+        assert case == entry["case"]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == entry["sha256"], entry["set"]
+
+
+def test_writer_matches_the_emitters_on_every_acceptance_set(tmp_path):
+    for target in acceptance_targets():
+        report = realize_set(target)
+        case, p, q, doc, dot = _written(tmp_path, target)
+        assert (case, p, q) == (report.case_used, report.graph.p, report.graph.q)
+        assert doc == emit_graph(report.graph).encode()
+        assert dot == emit_dot(report.graph).encode(), sorted(target)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.integers(-40, 40), min_size=1, max_size=6))
+def test_writer_matches_the_emitters_on_random_sets(tmp_path_factory, target):
+    report = realize_set(target)
+    case, p, q, doc, dot = _written(tmp_path_factory.mktemp("w"), target)
+    assert (case, p, q) == (report.case_used, report.graph.p, report.graph.q)
+    assert doc == emit_graph(report.graph).encode()
+    assert dot == emit_dot(report.graph).encode()
+
+
+def test_writer_refuses_what_realize_set_refuses(tmp_path):
+    out = tmp_path / "g.sbg"
+    for bad in ([], [2.5], ["a"]):
+        with pytest.raises(ValueError):
+            write_realization(bad, out)
+    assert not out.exists()
+
+
+def test_writer_memory_grows_with_the_longest_row(tmp_path):
+    # {1, 1000}: 1,000,001 edges, an 11.8 MB document and a 29.9 MB DOT file;
+    # building the graph for emit_graph peaked near 190 MB
+    tracemalloc.start()
+    try:
+        done = write_realization({1, 1000}, tmp_path / "g.sbg", tmp_path / "g.dot")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert done == ("positive", 1001, 1001)
+    assert peak < 2 * 2**20
+    with open(tmp_path / "g.sbg") as doc:
+        assert doc.readline() == "sbg 1001 1001\n"
+        assert sum(1 for line in doc if line.startswith("u")) == 1_000_001

@@ -273,3 +273,23 @@ def test_bulk_parse_matches_the_line_parser(kind, g, data):
     for each in kinds:
         text = _mutate(data.draw, text, each)
     assert _outcome(parse_graph, text) == _outcome(_reference_parse, text)
+
+
+@pytest.mark.parametrize("chunk", [1, 8, 29])
+@settings(max_examples=40)
+@given(g=bipartite_graphs(max_side=7, with_labels=True))
+def test_bulk_parse_reads_whole_lines_at_any_chunk_size(chunk, g):
+    """With chunks far shorter than a line, or ending mid-line, the bulk
+    path still splits only at line ends and returns the line parser's graph."""
+    text = emit_graph(g)
+    expected = _outcome(_reference_parse, text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(textio, "_CHUNK", chunk)
+        patch.setattr(textio, "_parse_lines", None)  # the bulk path must answer
+        assert _outcome(parse_graph, text) == expected
+
+
+def test_bulk_parse_refuses_a_repeated_edge_across_chunks(monkeypatch):
+    monkeypatch.setattr(textio, "_CHUNK", 8)
+    text = "sbg 2 2\nu1 v1 +\nu1 v2 -\nu2 v1 +\nu1 v1 -\n"
+    assert _outcome(parse_graph, text) == ("error", "line 5: duplicate edge u1 v1", 5)
