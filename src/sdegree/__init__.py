@@ -78,5 +78,26 @@ def _lazy_getattr(namespace: dict, package: str, module_of: dict):
 __getattr__ = _lazy_getattr(globals(), __name__, _MODULE_OF)
 
 
+def _integral(x) -> bool:
+    try:
+        return int(x) == x
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _integers(seq) -> list[int]:
+    """The entries of seq as ints; integral floats such as 1.0 count, and
+    any other entry (None, 1.5, "1", nan, inf) raises ValueError."""
+    vals = list(seq)
+    try:
+        whole = list(map(int, vals))
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole != vals:
+        bad = next(x for x in vals if not _integral(x))
+        raise ValueError(f"entries must be integers, got {bad!r}")
+    return whole
+
+
 def __dir__() -> list[str]:
     return sorted(set(globals()).union(__all__))

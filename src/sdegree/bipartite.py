@@ -21,31 +21,13 @@ from collections.abc import Iterable, Sequence
 from itertools import accumulate, islice, repeat
 from operator import ge, le, sub
 
+from . import _integers
+
 __all__ = ["reduce_pair", "is_bipartite_s_graphical", "gale_ryser"]
 
 
 def _desc(seq: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(seq, reverse=True))
-
-
-def _integral(x) -> bool:
-    try:
-        return int(x) == x
-    except (TypeError, ValueError, OverflowError):
-        return False
-
-
-def _integers(seq: Iterable) -> list[int]:
-    # The entries as ints; integral floats such as 1.0 count as integers.
-    vals = list(seq)
-    try:
-        whole = list(map(int, vals))
-    except (TypeError, ValueError, OverflowError):
-        whole = None
-    if whole != vals:
-        bad = next(x for x in vals if not _integral(x))
-        raise ValueError(f"entries must be integers, got {bad!r}")
-    return whole
 
 
 def _dominated(rows: list[int], cols: list[int], cap: int) -> bool:

@@ -9,30 +9,32 @@ touched vertex gains one positive and one negative edge, so existing signed
 degrees never move.
 
 A construction is a ``_Layout``: part sizes, a list of signed rectangles (a
-complete join of two vertex ranges, all of one sign), a few single signed
-edges (the zero square, the gadget and the bridges) and label runs.  A
-disjoint union only offsets ranges and the sign mirror only flips signs.
+complete join of two vertex ranges, all of one sign; an edge of the zero
+square, the gadget or a bridge is 1 x 1) and label runs.  A disjoint union
+only offsets ranges and the sign mirror only flips signs.
 
 The construction is checked once, on its layout, by ``_survey``: each part
 is cut into intervals at the rectangles' bounds, so the vertices of an
-interval share every neighbour, and the degree of every interval,
-connectivity and the pairwise disjointness of the rectangles and single
-edges follow in time polynomial in the number of pieces, O(|S|^2), whatever
-their sizes.  ``realize_set`` then creates every edge once and validates
-the graph once, by its constructor.  ``write_realization`` builds no graph:
-it writes ``emit_graph``'s and ``emit_dot``'s bytes row by row, from each U
-interval's sorted V spans, through the one writer of each format in
-``sdegree.textio``.
+interval share every neighbour.  An interval's degree is the sum of the
+signed widths of the rectangles covering it; connectivity is a union-find
+over the rectangles that share an interval; and no two rectangles may meet
+on V where they cover a common U interval.  All of it takes time polynomial
+in the number of rectangles, O(|S|^2), whatever their sizes.
+``realize_set`` then creates every edge once and validates the graph once,
+by its constructor.  ``write_realization`` builds no graph: it writes
+``emit_graph``'s and ``emit_dot``'s bytes row by row, from each U interval's
+sorted V spans, through the one writer of each format in ``sdegree.textio``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import accumulate, chain, product, repeat
+from itertools import chain, product, repeat
 from operator import attrgetter
 from os import PathLike
 from typing import NamedTuple
 
+from . import _integers
 from .core import (  # noqa: F401 -- perfbench/tracing.py wraps the unused names here
     Sign,
     SignedBipartiteGraph,
@@ -65,7 +67,6 @@ class _Layout(NamedTuple):
     p: int
     q: int
     rects: list[tuple[range, range, Sign]]  # every pair in xs x ys, one sign
-    singles: list[tuple[tuple[int, int], Sign]]
     labels: list[tuple[str, range, str]]  # (part, members, block name)
 
 
@@ -84,7 +85,9 @@ def _shifted(r: range, by: int) -> range:
 
 
 def _signed(positive: list[tuple[int, int]], negative: list[tuple[int, int]]) -> list:
-    return [(pair, _POS) for pair in positive] + [(pair, _NEG) for pair in negative]
+    """Single edges as 1 x 1 rectangles, the positive ones first."""
+    signed = [(pair, _POS) for pair in positive] + [(pair, _NEG) for pair in negative]
+    return [(range(u, u + 1), range(v, v + 1), sign) for (u, v), sign in signed]
 
 
 def _single_vertices(*named: tuple[str, int, str]) -> list[tuple[str, range, str]]:
@@ -121,15 +124,12 @@ def _positive_blocks(targets: list[int]) -> tuple[_Layout, list[tuple[str, int]]
         rects.append((primed, range(start, start + target), _POS))  # Y_i and Y_i'
         start += target
         prev = target
-    return _Layout(start, start, rects, [], labels), block_sizes
+    return _Layout(start, start, rects, labels), block_sizes
 
 
 def _mirrored(g: _Layout) -> _Layout:
     """Every sign flipped, which negates every signed degree."""
-    return g._replace(
-        rects=[(xs, ys, _FLIPPED[sign]) for xs, ys, sign in g.rects],
-        singles=[(pair, _FLIPPED[sign]) for pair, sign in g.singles],
-    )
+    return g._replace(rects=[(xs, ys, _FLIPPED[sign]) for xs, ys, sign in g.rects])
 
 
 def _attach_zero_gadget(g: _Layout, u1: int, v1: int) -> _Layout:
@@ -142,9 +142,9 @@ def _attach_zero_gadget(g: _Layout, u1: int, v1: int) -> _Layout:
     """
     x1, x2 = g.p, g.p + 1
     y1, y2 = g.q, g.q + 1
-    singles = g.singles + _signed([(u1, y1), (x1, v1), (x2, y2)], [(u1, y2), (x1, y1), (x2, v1)])
+    rects = g.rects + _signed([(u1, y1), (x1, v1), (x2, y2)], [(u1, y2), (x1, y1), (x2, v1)])
     labels = g.labels + _single_vertices(("u", x1, "x_1"), ("u", x2, "x_2"), ("v", y1, "y_1"), ("v", y2, "y_2"))
-    return _Layout(g.p + 2, g.q + 2, g.rects, singles, labels)
+    return _Layout(g.p + 2, g.q + 2, rects, labels)
 
 
 def _concat(*pieces: _Layout) -> tuple[_Layout, list[int], list[int]]:
@@ -152,7 +152,6 @@ def _concat(*pieces: _Layout) -> tuple[_Layout, list[int], list[int]]:
     union plus the U and V index offsets of every piece.  The union's lists
     are fresh, so callers may extend them in place."""
     rects: list[tuple[range, range, Sign]] = []
-    singles: list[tuple[tuple[int, int], Sign]] = []
     labels: list[tuple[str, range, str]] = []
     u_offsets: list[int] = []
     v_offsets: list[int] = []
@@ -161,13 +160,12 @@ def _concat(*pieces: _Layout) -> tuple[_Layout, list[int], list[int]]:
         u_offsets.append(p)
         v_offsets.append(q)
         rects.extend((_shifted(xs, p), _shifted(ys, q), sign) for xs, ys, sign in g.rects)
-        singles.extend(((u + p, v + q), sign) for (u, v), sign in g.singles)
         labels.extend(
             (part, _shifted(members, p if part == "u" else q), name) for part, members, name in g.labels
         )
         p += g.p
         q += g.q
-    return _Layout(p, q, rects, singles, labels), u_offsets, v_offsets
+    return _Layout(p, q, rects, labels), u_offsets, v_offsets
 
 
 def _bridge_mixed(g1: _Layout, g1_copy: _Layout, g2: _Layout, g2_copy: _Layout) -> _Layout:
@@ -184,7 +182,7 @@ def _bridge_mixed(g1: _Layout, g1_copy: _Layout, g2: _Layout, g2_copy: _Layout) 
     merged, u_off, v_off = _concat(g1, g1_copy, g2, g2_copy)
     u1, u1c = u_off[0], u_off[1]
     v2, v2c = v_off[2], v_off[3]
-    merged.singles.extend(_signed([(u1, v2c), (u1c, v2)], [(u1, v2), (u1c, v2c)]))
+    merged.rects.extend(_signed([(u1, v2c), (u1c, v2)], [(u1, v2), (u1c, v2c)]))
     return merged
 
 
@@ -200,7 +198,7 @@ def _bridge_with_zero(g1: _Layout, g2: _Layout) -> _Layout:
     x, y = merged.p, merged.q
     u1, v1 = u_off[0], v_off[0]
     u2, v2 = u_off[1], v_off[1]
-    merged.singles.extend(_signed([(u1, v2), (u2, y), (x, v1)], [(u1, y), (u2, v1), (x, v2)]))
+    merged.rects.extend(_signed([(u1, v2), (u2, y), (x, v1)], [(u1, y), (u2, v1), (x, v2)]))
     merged.labels.extend(_single_vertices(("u", x, "x"), ("v", y, "y")))
     return merged._replace(p=x + 1, q=y + 1)
 
@@ -215,7 +213,7 @@ def _build(elems: frozenset[int]) -> tuple[_Layout, str, list[tuple[str, int]]]:
         return _mirrored(layout), _MIRRORED_CASES[case], block_sizes
     if not positives:
         square = _signed([(0, 0), (1, 1)], [(0, 1), (1, 0)])
-        return _Layout(2, 2, [], square, []), "zero_only", [("U", 2), ("V", 2)]
+        return _Layout(2, 2, square, []), "zero_only", [("U", 2), ("V", 2)]
     g1, blocks1 = _positive_blocks(positives)
     if not negatives:
         if 0 not in elems:
@@ -240,73 +238,47 @@ def _graph(g: _Layout) -> SignedBipartiteGraph:
     for sign in (_POS, _NEG):
         pairs = chain.from_iterable(product(xs, ys) for xs, ys, s in g.rects if s is sign)
         edges.update(dict.fromkeys(pairs, sign))
-    edges.update(g.singles)
     labels: dict[tuple[str, int], str] = {}
     for part, members, name in g.labels:
         labels.update(dict.fromkeys(zip(repeat(part), members), name))
     return SignedBipartiteGraph(g.p, g.q, edges, labels)
 
 
-def _pieces(g: _Layout) -> list[tuple[range, range, Sign]]:
-    """A layout's edges as signed rectangles, ordered by where their V range
-    starts: each rectangle that holds an edge, and each single edge as a
-    1 x 1 rectangle."""
-    singles = [(range(u, u + 1), range(v, v + 1), sign) for (u, v), sign in g.singles]
-    pieces = [rect for rect in g.rects if rect[0] and rect[1]] + singles
-    pieces.sort(key=lambda piece: piece[1].start)
-    return pieces
-
-
-def _cut(ranges: list[range], size: int) -> tuple[list[range], list[range], list[list[int]]]:
-    """range(size) cut at both ends of every range: the intervals in order,
-    the run of intervals each range covers, and the ranges covering each
-    interval, by index.  The vertices of one interval share every
-    neighbour.  A range outside range(size) raises AssertionError."""
+def _cut(ranges: list[range], size: int) -> tuple[list[range], list[list[int]]]:
+    """range(size) cut at both ends of every range: the intervals in order
+    and the ranges covering each interval, by index.  The vertices of one
+    interval share every neighbour.  A range outside range(size) raises
+    AssertionError."""
     cuts = sorted({0, size}.union(map(attrgetter("start"), ranges), map(attrgetter("stop"), ranges)))
     if cuts[0] < 0 or cuts[-1] > size:
         raise AssertionError("a piece of the layout lies outside its part")
     at = {cut: i for i, cut in enumerate(cuts)}
-    runs = [range(at[r.start], at[r.stop]) for r in ranges]
     cover: list[list[int]] = [[] for _ in cuts[1:]]
-    for k, run in enumerate(runs):
-        for i in run:
+    for k, r in enumerate(ranges):
+        for i in range(at[r.start], at[r.stop]):
             cover[i].append(k)
-    return list(map(range, cuts, cuts[1:])), runs, cover
+    return list(map(range, cuts, cuts[1:])), cover
 
 
-def _degrees(runs: list[range], widths: Iterable[int], intervals: int) -> list[int]:
-    """The signed degree of each interval's vertices: the sum of the signed
-    widths of the pieces covering it, by one prefix sum."""
-    step = [0] * (intervals + 1)
-    for run, width in zip(runs, widths):
-        step[run.start] += width
-        step[run.stop] -= width
-    return list(accumulate(step[:-1]))
-
-
-def _connected(pieces: int, sides: list[tuple[list[range], list[list[int]]]]) -> bool:
+def _connected(pieces: int, covers: list[list[int]]) -> bool:
     """Whether the pieces join every vertex of a graph with more than one
-    vertex, given each part's runs and covers (from ``_cut``).  Every
-    interval must be covered; then the graph is connected iff a search from
-    one piece, stepping between pieces that cover a common interval, reaches
-    them all."""
-    if not all(all(cover) for _, cover in sides):
+    vertex, given the cover of every interval of both parts (from ``_cut``):
+    every interval must be covered, and a union-find that joins the pieces
+    covering a common interval must leave one class."""
+    if not all(covers):
         return False  # the vertices of an uncovered interval have no edge
-    reached = [False] * pieces
-    seen = [[False] * len(cover) for _, cover in sides]
-    reached[0] = True
-    stack = [0]
-    while stack:
-        k = stack.pop()
-        for (runs, cover), done in zip(sides, seen):
-            for i in runs[k]:
-                if not done[i]:
-                    done[i] = True
-                    for j in cover[i]:
-                        if not reached[j]:
-                            reached[j] = True
-                            stack.append(j)
-    return all(reached)
+    parent = list(range(pieces))
+
+    def root(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]
+        return k
+
+    for cover in covers:
+        first = root(cover[0])
+        for k in cover[1:]:
+            parent[root(k)] = first
+    return sum(k == up for k, up in enumerate(parent)) == 1
 
 
 class _Survey(NamedTuple):
@@ -323,9 +295,9 @@ def _survey(g: _Layout) -> _Survey:
     polynomial in the number of pieces and independent of their sizes; no
     edge is made.  Raises AssertionError when a piece lies outside its part
     or two pieces share an edge."""
-    pieces = _pieces(g)
-    us, u_runs, u_cover = _cut([xs for xs, _, _ in pieces], g.p)
-    vs, v_runs, v_cover = _cut([ys for _, ys, _ in pieces], g.q)
+    pieces = sorted((rect for rect in g.rects if rect[0] and rect[1]), key=lambda rect: rect[1].start)
+    us, u_cover = _cut([xs for xs, _, _ in pieces], g.p)
+    vs, v_cover = _cut([ys for _, ys, _ in pieces], g.q)
     rows = []
     for interval, cover in zip(us, u_cover):
         if cover:
@@ -335,10 +307,13 @@ def _survey(g: _Layout) -> _Survey:
                 if a.stop > b.start:
                     raise AssertionError(f"two pieces of the layout share an edge at u{interval.start + 1}")
             rows.append((interval, spans))
+    # an interval's degree: the signed widths, on the other part, of the pieces covering it
     signs = [1 if sign is _POS else -1 for _, _, sign in pieces]
-    du = _degrees(u_runs, [s * (ys.stop - ys.start) for s, (_, ys, _) in zip(signs, pieces)], len(us))
-    dv = _degrees(v_runs, [s * (xs.stop - xs.start) for s, (xs, _, _) in zip(signs, pieces)], len(vs))
-    connected = g.p + g.q == 1 or _connected(len(pieces), [(u_runs, u_cover), (v_runs, v_cover)])
+    u_widths = [s * (ys.stop - ys.start) for s, (_, ys, _) in zip(signs, pieces)]
+    v_widths = [s * (xs.stop - xs.start) for s, (xs, _, _) in zip(signs, pieces)]
+    du = [sum(map(u_widths.__getitem__, cover)) for cover in u_cover]
+    dv = [sum(map(v_widths.__getitem__, cover)) for cover in v_cover]
+    connected = g.p + g.q == 1 or _connected(len(pieces), u_cover + v_cover)
     return _Survey(rows, list(zip(us, du)), list(zip(vs, dv)), connected)
 
 
@@ -357,15 +332,7 @@ def _checked(elems: frozenset[int]) -> tuple[_Layout, str, list[tuple[str, int]]
 def _elements(s: Iterable[int]) -> frozenset[int]:
     """The distinct entries of s; ValueError when s is empty or an entry is
     not an integer."""
-    s = list(s)
-    for x in s:
-        try:
-            integral = int(x) == x
-        except (ValueError, OverflowError):  # nan, infinities, other strings
-            integral = False
-        if not integral:
-            raise ValueError(f"degree set entries must be integers, got {x!r}")
-    elems = frozenset(map(int, s))
+    elems = frozenset(_integers(s))
     if not elems:
         raise ValueError("degree set must be nonempty")
     return elems

@@ -5,7 +5,8 @@ when the head is non-positive or dominated in magnitude by the tail entry
 (flipping all edge signs of a realizing graph negates its whole sequence, so
 the two orientations stand or fall together).  A normalised nonzero sequence
 is *standard* when its sum is even and every magnitude is below the length;
-nothing else can be realized.
+nothing else can be realized.  Integral floats such as 1.0 count as
+integers; any other entry raises ValueError.
 
 Standard sequences shrink by a Havel-Hakimi-style step: drop the head d1,
 subtract 1 from the next d1+s entries, keep the middle, add 1 to the last s,
@@ -34,6 +35,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
+
+from . import _integers
 
 __all__ = [
     "Standard",
@@ -71,15 +74,24 @@ NormalForm = Standard | AllZero | NotStandard
 def _normal(seq: Iterable[int]) -> tuple[list[int], bool, str | None]:
     # Sort non-increasing, orient, classify.  Returns the oriented list
     # (empty when every entry is 0), whether it was negated, and the reason
-    # it is not standard, or None when it is.
-    vals = sorted(seq, reverse=True)
+    # it is not standard, or None when it is.  An int total means that
+    # every entry is an int or a bool, so only other input pays for the
+    # entry check.
+    vals = list(seq)
+    try:
+        total = sum(vals)
+    except TypeError:  # None, strings
+        total = None
+    if type(total) is not int:
+        total = sum(vals := _integers(vals))
+    vals.sort(reverse=True)
     if not vals or (vals[0] == 0 and vals[-1] == 0):
         return [], False, None
     negated = vals[0] <= 0 or vals[0] < -vals[-1]
     if negated:
         vals = [-x for x in reversed(vals)]
     # the head is now positive and at least the tail's magnitude
-    if sum(vals) % 2:
+    if total % 2:
         return vals, negated, "sum of entries is odd"
     n = len(vals)
     if vals[0] >= n:

@@ -317,6 +317,30 @@ def test_importing_the_package_loads_none_of_its_modules():
     assert _child(script).split() == ["sdegree"]
 
 
+# Every library entry point that takes integer entries, as a call on one
+# list, with int inputs whose verdicts differ
+INTEGER_ENTRY_POINTS = [
+    ("realize_set", sdegree.realize_set, [[2, 0, -1], [3]]),
+    ("write_realization", sdegree.write_realization, [[2, 0, -1], [-4, -1]]),
+    ("is_s_graphical_deterministic", sdegree.is_s_graphical_deterministic, [[2, 2, 2], [2, 2]]),
+    ("is_s_graphical_branching", sdegree.is_s_graphical_branching, [[2, 2, 2], [3, 1]]),
+    ("is_bipartite_s_graphical", lambda xs: sdegree.is_bipartite_s_graphical(xs, [1, 1]), [[1, 1], [2, 1]]),
+    ("gale_ryser", lambda xs: sdegree.gale_ryser(xs, [1, 1]), [[1, 1], [2, 1]]),
+]
+
+
+@pytest.mark.parametrize("name, call, samples", INTEGER_ENTRY_POINTS, ids=[e[0] for e in INTEGER_ENTRY_POINTS])
+def test_every_entry_point_keeps_the_one_integer_rule(name, call, samples):
+    # integral floats give the ints' verdict; every other entry, alone or
+    # after valid ones, raises ValueError
+    for ints in samples:
+        assert call([float(x) for x in ints]) == call(ints), (name, ints)
+    for bad in (None, 1.5, "1", float("nan"), float("inf")):
+        for entries in ([bad], samples[0] + [bad]):
+            with pytest.raises(ValueError, match="must be integers"):
+                call(entries)
+
+
 CLI_LIBRARY_NAMES = [
     "write_realization",
     "realize_set",

@@ -101,6 +101,13 @@ def _piece(target):
     return layout, realize_module._graph(layout)
 
 
+def _single_edges(rects):
+    """How many of rects are 1 x 1, that is, single edges; fails when any
+    other rectangle is among them."""
+    assert all(len(xs) == len(ys) == 1 for xs, ys, _ in rects)
+    return len(rects)
+
+
 def _shifted(rect, du, dv):
     xs, ys, sign = rect
     return range(xs.start + du, xs.stop + du), range(ys.start + dv, ys.stop + dv), sign
@@ -110,8 +117,9 @@ class TestAttachZeroGadget:
     def test_adds_four_zero_vertices_and_moves_nothing(self):
         base, base_graph = _piece({2, 3})
         grown = realize_module._attach_zero_gadget(base, 0, 0)
-        assert grown.rects == base.rects  # the gadget adds single edges only
-        assert len(grown.singles) == len(base.singles) + 6
+        # the gadget keeps every rectangle and adds six single edges
+        assert grown.rects[: len(base.rects)] == base.rects
+        assert _single_edges(grown.rects[len(base.rects) :]) == 6
         grown_graph = realize_module._graph(grown)
         du, dv = degree_vectors(base_graph)
         gu, gv = degree_vectors(grown_graph)
@@ -145,10 +153,12 @@ class TestBridges:
         n1 = len(g1.rects)
         assert merged.rects[:n1] == g1.rects
         assert merged.rects[n1 : 2 * n1] == [_shifted(r, g1.p, g1.q) for r in g1.rects]
-        assert merged.rects[2 * n1 :] == [
+        n2 = len(g2.rects)
+        assert merged.rects[2 * n1 : 2 * n1 + 2 * n2] == [
             _shifted(r, 2 * g1.p + k * g2.p, 2 * g1.q + k * g2.q) for k in (0, 1) for r in g2.rects
         ]
-        assert len(merged.singles) == 4
+        # then the four bridge edges
+        assert _single_edges(merged.rects[2 * n1 + 2 * n2 :]) == 4
         graph = realize_module._graph(merged)
         du, dv = degree_vectors(graph)
         d1u, d1v = degree_vectors(graph1)
@@ -162,8 +172,11 @@ class TestBridges:
         g1, graph1 = _piece({2})
         g2, graph2 = _piece({-1, -3})
         merged = realize_module._bridge_with_zero(g1, g2)
-        assert merged.rects == g1.rects + [_shifted(r, g1.p, g1.q) for r in g2.rects]
-        assert all(sign is Sign.NEGATIVE for _, _, sign in merged.rects[len(g1.rects) :])
+        pieces = g1.rects + [_shifted(r, g1.p, g1.q) for r in g2.rects]
+        assert merged.rects[: len(pieces)] == pieces
+        assert all(sign is Sign.NEGATIVE for _, _, sign in merged.rects[len(g1.rects) : len(pieces)])
+        # then six single edges that join the pieces and the fresh vertices
+        assert _single_edges(merged.rects[len(pieces) :]) == 6
         graph = realize_module._graph(merged)
         du, dv = degree_vectors(graph)
         d1u, d1v = degree_vectors(graph1)
@@ -331,7 +344,7 @@ def test_dot_output_matches_recorded_digests():
 def test_layout_knows_its_edge_count_before_any_edge_exists():
     for target in acceptance_targets() + WIDE_TARGETS:
         layout = realize_module._build(frozenset(target))[0]
-        planned = sum(len(xs) * len(ys) for xs, ys, _ in layout.rects) + len(layout.singles)
+        planned = sum(len(xs) * len(ys) for xs, ys, _ in layout.rects)
         assert planned == len(realize_set(target).graph.edges), sorted(target)
 
 
@@ -371,13 +384,25 @@ def test_perfbench_tracing_installs_on_the_package():
     assert done.returncode == 0, done.stderr
 
 
+def _optimized(script):
+    """The stdout of script run under ``python -O``, with this checkout's
+    sdegree on the path."""
+    src = str(Path(sdegree.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_postcondition_survives_python_optimize():
     # break the layout check's connectivity helper: realize_set must still
     # refuse the construction with AssertionError when asserts are stripped
     script = (
         "import sys\n"
         "import sdegree.realize as realize\n"
-        "realize._connected = lambda pieces, sides: False\n"
+        "realize._connected = lambda pieces, covers: False\n"
         "try:\n"
         "    realize.realize_set({1})\n"
         "except AssertionError:\n"
@@ -385,13 +410,35 @@ def test_postcondition_survives_python_optimize():
         "else:\n"
         "    print('returned', sys.flags.optimize)\n"
     )
-    src = str(Path(sdegree.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    assert _optimized(script).split() == ["raised", "1"]
+
+
+def test_layout_refusals_survive_python_optimize():
+    # a repeated 1 x 1 piece and a piece outside its part: the survey must
+    # refuse both with AssertionError when asserts are stripped
+    script = (
+        "import sys\n"
+        "import sdegree.realize as realize\n"
+        "square = realize._build(frozenset({0}))[0]\n"
+        "layout = realize._build(frozenset({2}))[0]\n"
+        "xs, ys, sign = layout.rects[0]\n"
+        "print(sys.flags.optimize)\n"
+        "for broken in (\n"
+        "    square._replace(rects=square.rects + square.rects[:1]),\n"
+        "    layout._replace(rects=[(range(xs.start, layout.p + 1), ys, sign)]),\n"
+        "):\n"
+        "    try:\n"
+        "        realize._survey(broken)\n"
+        "    except AssertionError as refusal:\n"
+        "        print('raised:', refusal)\n"
+        "    else:\n"
+        "        print('returned')\n"
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["raised", "1"]
+    assert _optimized(script).splitlines() == [
+        "1",
+        "raised: two pieces of the layout share an edge at u1",
+        "raised: a piece of the layout lies outside its part",
+    ]
 
 
 # ---------------------------------------------------------------- layout check
@@ -409,17 +456,14 @@ def _degree_set(survey):
 
 
 def test_layout_survey_agrees_with_the_built_graph_when_pieces_are_dropped():
-    """Drop random rectangles and single edges from small layouts: the
-    survey's degrees, connectivity and rows must be those of the graph the
-    layout builds."""
+    """Drop random rectangles, single edges among them, from small layouts:
+    the survey's degrees, connectivity and rows must be those of the graph
+    the layout builds."""
     rng = random.Random(15)
     checked = disconnected = 0
     for _, layout in _small_layouts():
         for _ in range(5):
-            dropped = layout._replace(
-                rects=[r for r in layout.rects if rng.random() < 0.8],
-                singles=[e for e in layout.singles if rng.random() < 0.8],
-            )
+            dropped = layout._replace(rects=[r for r in layout.rects if rng.random() < 0.8])
             survey = realize_module._survey(dropped)
             graph = realize_module._graph(dropped)
             du, dv = degree_vectors(graph)
@@ -445,7 +489,7 @@ def test_layout_survey_refuses_a_repeated_rectangle():
             with pytest.raises(AssertionError, match="share an edge"):
                 realize_module._survey(layout._replace(rects=layout.rects + [twin]))
             refused += 1
-    assert refused == 231 - 1  # {0} is the only layout without a rectangle
+    assert refused == 231  # {0}'s square is four 1 x 1 rectangles
 
 
 def test_layout_survey_refuses_a_single_edge_inside_a_rectangle():
@@ -453,15 +497,16 @@ def test_layout_survey_refuses_a_single_edge_inside_a_rectangle():
     for _, layout in _small_layouts():
         for xs, ys, sign in layout.rects:
             if xs and ys:
-                single = ((rng.choice(xs), rng.choice(ys)), rng.choice([Sign.POSITIVE, Sign.NEGATIVE]))
+                u, v = rng.choice(xs), rng.choice(ys)
+                single = (range(u, u + 1), range(v, v + 1), rng.choice([Sign.POSITIVE, Sign.NEGATIVE]))
                 with pytest.raises(AssertionError, match="share an edge"):
-                    realize_module._survey(layout._replace(singles=layout.singles + [single]))
+                    realize_module._survey(layout._replace(rects=layout.rects + [single]))
 
 
 def test_layout_survey_refuses_a_repeated_single_edge_and_a_piece_outside_its_part():
     square = realize_module._build(frozenset({0}))[0]
     with pytest.raises(AssertionError, match="share an edge"):
-        realize_module._survey(square._replace(singles=square.singles + square.singles[:1]))
+        realize_module._survey(square._replace(rects=square.rects + square.rects[:1]))
     layout = realize_module._build(frozenset({2}))[0]
     xs, ys, sign = layout.rects[0]
     for outside in ((range(xs.start, layout.p + 1), ys, sign), (xs, range(-1, ys.stop), sign)):
