@@ -22,7 +22,8 @@ module on first use (PEP 562), so a process pays only for what it touches.
 
 __version__ = "0.1.0"
 
-# Each public name, with the module that defines it.
+# Each public name, with the module that defines it: the one name table, which
+# sdegree.cli resolves its library names through as well.
 _MODULE_OF = {
     "gale_ryser": "bipartite",
     "is_bipartite_s_graphical": "bipartite",
@@ -76,6 +77,10 @@ def _lazy_getattr(namespace: dict, package: str, module_of: dict):
 
 
 __getattr__ = _lazy_getattr(globals(), __name__, _MODULE_OF)
+
+
+class _SizeLimit(ValueError):
+    """A request past a size limit; the CLI exits with 2 on it."""
 
 
 def _integral(x) -> bool:

@@ -56,8 +56,8 @@ def reduce_pair(
     means the first r positions, "smallest" the last s.  Both results come
     back sorted non-increasing.
     """
-    a = _desc(alpha)
-    b = _desc(beta)
+    a = _desc(_integers(alpha))
+    b = _desc(_integers(beta))
     if not a:
         raise ValueError("alpha must be nonempty")
     d1 = a[0]

@@ -7,6 +7,9 @@ size above sys.maxsize, which cannot size a list or range.
 Output is deterministic: identical argv always produces identical stdout.
 ``realize`` builds no graph: it checks the construction on its layout and
 writes ``--out`` and ``--dot`` from it row by row (``write_realization``).
+Library names resolve here through the package's name table and are bound
+on first use, so a command loads only its own modules and a replacement set
+here takes effect.  Every size limit raises the package's ``_SizeLimit``.
 """
 
 from __future__ import annotations
@@ -15,32 +18,10 @@ import argparse
 import re
 import sys
 
-from . import _lazy_getattr
+from . import _MODULE_OF, _SizeLimit, _lazy_getattr
 
 __all__ = ["cli_main", "main"]
 
-# The library names the commands call, with the module of each.  A name loads
-# its module on first use and is then bound here, so a command imports only
-# what it calls, and a replacement set on this module takes effect.
-_MODULE_OF = {
-    "write_realization": "realize",
-    # No command calls the next three; perfbench/tracing.CLI_NAMES wraps each
-    # of them on this module.
-    "realize_set": "realize",  # realize calls write_realization
-    "emit_graph": "textio",  # realize writes --out through write_realization
-    "emit_dot": "textio",  # realize writes --dot through write_realization
-    "parse_graph": "textio",
-    "signed_degree_set": "core",
-    "is_connected": "core",
-    # no command calls it; perfbench/tracing.CLI_NAMES wraps it on this module
-    "is_s_graphical_branching": "sgraphical",
-    "is_s_graphical_deterministic": "sgraphical",
-    "is_bipartite_s_graphical": "bipartite",
-    "gale_ryser": "bipartite",
-    "oracle_s_graphical": "oracle",
-    "oracle_bipartite": "oracle",
-    "connected_degree_sets": "oracle",
-}
 __getattr__ = _lazy_getattr(globals(), __package__, _MODULE_OF)
 _lib = sys.modules[__name__]  # the commands call the library through this
 
@@ -49,14 +30,10 @@ class _UsageError(Exception):
     pass
 
 
-class _SizeLimitError(Exception):
-    pass
-
-
 def _sizable(value: int, what: str) -> None:
     # Python cannot make a list or range longer than sys.maxsize.
     if abs(value) > sys.maxsize:
-        raise _SizeLimitError(f"{what} {value} exceeds the size limit {sys.maxsize}")
+        raise _SizeLimit(f"{what} {value} exceeds the size limit {sys.maxsize}")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -201,14 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _size_limited(exc: Exception) -> bool:
-    # An oracle guard can only have fired once the oracle module is loaded.
-    oracle = sys.modules.get(f"{__package__}.oracle")
-    return isinstance(exc, _SizeLimitError) or (
-        oracle is not None and isinstance(exc, oracle.OracleLimitError)
-    )
-
-
 def cli_main(argv: list[str] | None = None) -> int:
     """Run one command and return the process exit code (never exits itself)."""
     try:
@@ -218,9 +187,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except (_SizeLimitError, ValueError, OSError) as exc:  # ParseError is a ValueError
+    except (ValueError, OSError) as exc:  # ParseError and _SizeLimit are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if _size_limited(exc) else 1
+        return 2 if isinstance(exc, _SizeLimit) else 1
 
 
 def main() -> None:

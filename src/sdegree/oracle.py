@@ -21,6 +21,8 @@ from collections.abc import Iterable
 from functools import lru_cache
 from itertools import groupby, product
 
+from . import _SizeLimit, _integers
+
 __all__ = [
     "OracleLimitError",
     "MAX_ORACLE_VERTICES",
@@ -34,7 +36,7 @@ MAX_ORACLE_VERTICES = 7  # the n = 7 census takes under a second
 MAX_ORACLE_SLOTS = 20  # p*q; the squarest shape, 4 x 5, takes about a second
 
 
-class OracleLimitError(ValueError):
+class OracleLimitError(_SizeLimit):
     """Requested size exceeds the oracle's size guard."""
 
 
@@ -86,7 +88,7 @@ def _pair_census(p: int, q: int) -> frozenset[tuple[tuple[int, ...], tuple[int, 
 def oracle_s_graphical(seq: Iterable[int]) -> bool:
     """Ground truth: does any signed graph on len(seq) labelled vertices have
     exactly this signed degree sequence (as a multiset)?"""
-    vals = tuple(sorted(seq, reverse=True))
+    vals = tuple(sorted(_integers(seq), reverse=True))
     if len(vals) > MAX_ORACLE_VERTICES:
         raise OracleLimitError(
             f"length {len(vals)} exceeds the oracle guard n <= {MAX_ORACLE_VERTICES}"
@@ -104,10 +106,20 @@ def _check_slots(p: int, q: int) -> None:
 def oracle_bipartite(alpha: Iterable[int], beta: Iterable[int]) -> bool:
     """Ground truth for part sizes (len(alpha), len(beta)): does any signed
     bipartite graph realize this pair of signed degree sequences?"""
-    a = tuple(sorted(alpha, reverse=True))
-    b = tuple(sorted(beta, reverse=True))
+    a = tuple(sorted(_integers(alpha), reverse=True))
+    b = tuple(sorted(_integers(beta), reverse=True))
     _check_slots(len(a), len(b))
     return (a, b) in _pair_census(len(a), len(b))
+
+
+def _touches(degrees: tuple[int, ...]) -> set[tuple[int, tuple[int, ...], bool]]:
+    """``_joins(degrees)``, each outcome flagged by whether the new vertex joins
+    the component: a changed outcome always does; the unchanged one comes both
+    ways when two degrees differ by one (d + 1 joined negatively, d positively)."""
+    options = {(x, after, after != degrees) for x, after in _joins(degrees)}
+    if any(d - e == 1 for d, e in zip(degrees, degrees[1:])):
+        options.add((0, degrees, True))
+    return options
 
 
 def _component_joins(
@@ -116,20 +128,13 @@ def _component_joins(
     """Every (components after, degree of the new vertex) over all ways to
     join a new V vertex to at least one U vertex.  ``components`` holds the
     non-increasing degrees of the U vertices of each component, sorted."""
-    members = [(i, d) for i, component in enumerate(components) for d in component]
     outcomes = set()
-    for choice in product((0, 1, -1), repeat=len(members)):
-        grown = [[] for _ in components]
-        hit = set()
-        for (i, d), x in zip(members, choice):
-            grown[i].append(d + x)
-            if x:
-                hit.add(i)
-        if not hit:
-            continue  # the new vertex would stay isolated
-        after = [tuple(sorted(grown[i], reverse=True)) for i in range(len(grown)) if i not in hit]
-        after.append(tuple(sorted((d for i in hit for d in grown[i]), reverse=True)))
-        outcomes.add((tuple(sorted(after)), sum(choice)))
+    for picks in product(*map(_touches, components)):
+        joined = [c for _, c, hit in picks if hit]
+        if joined:  # else the new vertex would stay isolated
+            after = [c for _, c, hit in picks if not hit]
+            after.append(tuple(sorted((d for c in joined for d in c), reverse=True)))
+            outcomes.add((tuple(sorted(after)), sum(x for x, _, _ in picks)))
     return outcomes
 
 

@@ -166,7 +166,7 @@ def choose_m(seq: Sequence[int]) -> int:
     qualifying shifts form a prefix of that range, so the answer is found by
     bisection in O(log n) comparisons.
     """
-    vals = list(seq)
+    vals = _integers(seq)
     _require_reducible(vals)
     return _pivot(vals)
 

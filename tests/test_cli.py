@@ -300,20 +300,45 @@ def _child(script: str) -> str:
     return done.stdout
 
 
-def test_a_command_loads_only_the_modules_it_calls():
+@pytest.mark.parametrize(
+    "argv, first, loaded",
+    [
+        (
+            ["gale-ryser", "--d", "2,1", "--e", "1,1,1"],
+            "graphical: true",
+            ["0", "sdegree", "sdegree.bipartite", "sdegree.cli"],
+        ),
+        # a size limit exits 2 without probing for the module that raised it
+        (
+            ["check-seq", "--method", "oracle", "--seq", "1,1,1,1,1,1,1,1"],
+            "error: length 8 exceeds the oracle guard n <= 7",
+            ["2", "sdegree", "sdegree.cli", "sdegree.oracle"],
+        ),
+    ],
+    ids=["gale-ryser", "oracle-guard"],
+)
+def test_a_command_loads_only_the_modules_it_calls(argv, first, loaded):
     script = (
         "import sys\n"
         "from sdegree.cli import cli_main\n"
-        "code = cli_main(['gale-ryser', '--d', '2,1', '--e', '1,1,1'])\n"
+        "sys.stderr = sys.stdout\n"
+        f"code = cli_main({argv!r})\n"
         "print(code, *sorted(m for m in sys.modules if m.startswith('sdegree')))\n"
     )
     out = _child(script).splitlines()
-    assert out[0] == "graphical: true"
-    assert out[1].split() == ["0", "sdegree", "sdegree.bipartite", "sdegree.cli"]
+    assert out[0] == first
+    assert out[1].split() == loaded
 
 
 def test_importing_the_package_loads_none_of_its_modules():
     script = "import sys, sdegree; print(*sorted(m for m in sys.modules if 'sdegree' in m))"
+    assert _child(script).split() == ["sdegree"]
+
+
+def test_importing_the_package_loads_no_other_module():
+    # every workload's setup time is a fresh import of the package, so it
+    # adds no module at all, the standard library's included
+    script = "import sys; before = set(sys.modules); import sdegree; print(*sorted(set(sys.modules) - before))"
     assert _child(script).split() == ["sdegree"]
 
 
@@ -326,6 +351,11 @@ INTEGER_ENTRY_POINTS = [
     ("is_s_graphical_branching", sdegree.is_s_graphical_branching, [[2, 2, 2], [3, 1]]),
     ("is_bipartite_s_graphical", lambda xs: sdegree.is_bipartite_s_graphical(xs, [1, 1]), [[1, 1], [2, 1]]),
     ("gale_ryser", lambda xs: sdegree.gale_ryser(xs, [1, 1]), [[1, 1], [2, 1]]),
+    ("choose_m", sdegree.choose_m, [[1, 1, 1, 0, 0, 0], [1, 1, 1, 1, 1, 1]]),
+    # repr, so that float entries in the result show
+    ("reduce_pair", lambda xs: repr(sdegree.reduce_pair([1], xs, 1, 0)), [[1, 1], [2, 1]]),
+    ("oracle_s_graphical", sdegree.oracle_s_graphical, [[1, 1], [1, 0]]),
+    ("oracle_bipartite", lambda xs: sdegree.oracle_bipartite(xs, [1, 1]), [[1, 1], [2, 1]]),
 ]
 
 

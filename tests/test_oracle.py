@@ -1,4 +1,5 @@
 import itertools
+from operator import add
 
 import pytest
 
@@ -10,7 +11,7 @@ from sdegree import (
     oracle_bipartite,
     oracle_s_graphical,
 )
-from sdegree.oracle import _pair_census, _sequence_census
+from sdegree.oracle import _pair_census, _sequence_census, _touches
 
 from .conftest import (
     enumerate_signed_bipartite,
@@ -137,6 +138,17 @@ def test_connected_degree_sets_match_the_exhaustive_definition():
     for p, q in _SHAPES:
         if p and q:
             assert connected_degree_sets(p, q) == exhaustive_bipartite_census(p, q)[1], (p, q)
+
+
+@pytest.mark.parametrize("degrees", [(0,), (1, 0), (2, 1, 1), (1, 1, 0, 0), (3, 2, 0, -1)])
+def test_touches_match_every_choice_of_edges(degrees):
+    # the census tests cannot see a missed swap (d up, d + 1 down) at the
+    # guarded shapes, so the joins of one component are checked here
+    expected = {
+        (sum(choice), tuple(sorted(map(add, degrees, choice), reverse=True)), any(choice))
+        for choice in itertools.product((0, 1, -1), repeat=len(degrees))
+    }
+    assert _touches(degrees) == expected
 
 
 def _chungphaisan(seq) -> bool:
