@@ -300,24 +300,8 @@ def _child(script: str) -> str:
     return done.stdout
 
 
-@pytest.mark.parametrize(
-    "argv, first, loaded",
-    [
-        (
-            ["gale-ryser", "--d", "2,1", "--e", "1,1,1"],
-            "graphical: true",
-            ["0", "sdegree", "sdegree.bipartite", "sdegree.cli"],
-        ),
-        # a size limit exits 2 without probing for the module that raised it
-        (
-            ["check-seq", "--method", "oracle", "--seq", "1,1,1,1,1,1,1,1"],
-            "error: length 8 exceeds the oracle guard n <= 7",
-            ["2", "sdegree", "sdegree.cli", "sdegree.oracle"],
-        ),
-    ],
-    ids=["gale-ryser", "oracle-guard"],
-)
-def test_a_command_loads_only_the_modules_it_calls(argv, first, loaded):
+def _loaded_by(argv: list[str]) -> list[str]:
+    # the command's first output line, then its exit code and the package's modules it loaded
     script = (
         "import sys\n"
         "from sdegree.cli import cli_main\n"
@@ -325,9 +309,19 @@ def test_a_command_loads_only_the_modules_it_calls(argv, first, loaded):
         f"code = cli_main({argv!r})\n"
         "print(code, *sorted(m for m in sys.modules if m.startswith('sdegree')))\n"
     )
-    out = _child(script).splitlines()
-    assert out[0] == first
-    assert out[1].split() == loaded
+    return _child(script).splitlines()
+
+
+def test_a_command_loads_only_the_modules_it_calls():
+    out = _loaded_by(["gale-ryser", "--d", "2,1", "--e", "1,1,1"])
+    assert out[0] == "graphical: true"
+    assert out[1].split() == ["0", "sdegree", "sdegree.bipartite", "sdegree.cli"]
+
+
+def test_a_size_limit_exits_2_without_probing_for_its_module():
+    out = _loaded_by(["check-seq", "--method", "oracle", "--seq", "1,1,1,1,1,1,1,1"])
+    assert out[0] == "error: length 8 exceeds the oracle guard n <= 7"
+    assert out[1].split() == ["2", "sdegree", "sdegree.cli", "sdegree.oracle"]
 
 
 def test_importing_the_package_loads_none_of_its_modules():
