@@ -44,7 +44,6 @@ _MODULE_OF = {
     "realize_set": "realize",
     "write_realization": "realize",
     "AllZero": "sgraphical",
-    "NormalForm": "sgraphical",
     "NotStandard": "sgraphical",
     "Standard": "sgraphical",
     "choose_m": "sgraphical",

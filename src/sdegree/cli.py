@@ -128,8 +128,17 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+_DESCRIPTION = (
+    "Build a connected signed bipartite graph for a signed degree set (realize), "
+    "decide signed degree sequences and pairs (check-seq, check-pair, gale-ryser), "
+    "report the degree set of a graph file (degree-set) and list the degree sets "
+    "of small graphs (enumerate).  Exit codes: 0 success, 1 usage or input error, "
+    "2 size limit exceeded.  Identical arguments always give identical output."
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(prog="sdegree", description=__doc__)
+    parser = _ArgumentParser(prog="sdegree", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
 
     realize = sub.add_parser(
@@ -185,6 +194,8 @@ def cli_main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except SystemExit as done:  # --help printed the usage and asked to exit
+        return done.code
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # ParseError and _SizeLimit are ValueErrors

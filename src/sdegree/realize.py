@@ -15,11 +15,14 @@ only offsets ranges and the sign mirror only flips signs.
 
 The construction is checked once, on its layout, by ``_survey``: each part
 is cut into intervals at the rectangles' bounds, so the vertices of an
-interval share every neighbour.  An interval's degree is the sum of the
-signed widths of the rectangles covering it; connectivity is a union-find
-over the rectangles that share an interval; and no two rectangles may meet
-on V where they cover a common U interval.  All of it takes time polynomial
-in the number of rectangles, O(|S|^2), whatever their sizes.
+interval share every neighbour, and the graph is its quotient blown up: a U
+interval and a V interval are joined completely, with one sign, or not at
+all.  The survey builds that quotient once, one cell per joined pair of
+intervals, and reads everything from it: no two rectangles may fill one
+cell; an interval's degree is the signed sizes of the intervals across its
+cells; connectivity is a union-find over the intervals, joined by the
+cells; and the rows are the cells in order.  All of it takes time
+polynomial in the number of rectangles, O(|S|^2), whatever their sizes.
 ``realize_set`` then creates every edge once and validates the graph once,
 by its constructor.  ``write_realization`` builds no graph: it writes
 ``emit_graph``'s and ``emit_dot``'s bytes row by row, from each U interval's
@@ -29,8 +32,8 @@ sorted V spans, through the one writer of each format in ``sdegree.textio``.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import chain, product, repeat
-from operator import attrgetter
+from itertools import chain, groupby, product, repeat
+from operator import attrgetter, itemgetter
 from os import PathLike
 from typing import NamedTuple
 
@@ -70,14 +73,13 @@ class _Layout(NamedTuple):
     labels: list[tuple[str, range, str]]  # (part, members, block name)
 
 
-_GADGET_BLOCKS = [("x_1", 1), ("x_2", 1), ("y_1", 1), ("y_2", 1)]
-
 # case of a non-negative set -> case of its sign mirror
 _MIRRORED_CASES = {"positive": "negative", "nonneg_with_zero": "nonpos_with_zero"}
 
 
-def _tagged(tag: str, sizes: list[tuple[str, int]]) -> list[tuple[str, int]]:
-    return [(f"{tag}.{name}", size) for name, size in sizes]
+def _blocks(g: _Layout, tag: str = "") -> list[tuple[str, int]]:
+    """The name, after ``tag``, and the size of every labelled block."""
+    return [(tag + name, len(members)) for _, members, name in g.labels]
 
 
 def _shifted(r: range, by: int) -> range:
@@ -94,9 +96,8 @@ def _single_vertices(*named: tuple[str, int, str]) -> list[tuple[str, range, str
     return [(part, range(i, i + 1), name) for part, i, name in named]
 
 
-def _positive_blocks(targets: list[int]) -> tuple[_Layout, list[tuple[str, int]]]:
-    """The all-positive block layout for ascending positive targets, with
-    its block sizes.
+def _positive_blocks(targets: list[int]) -> _Layout:
+    """The all-positive block layout for ascending positive targets.
 
     For targets s1 < ... < sn, block X_i/Y_i has size s_i - s_(i-1) and block
     X_i'/Y_i' has size s_(i-1); complete positive joins run X_i to Y_j for
@@ -107,7 +108,6 @@ def _positive_blocks(targets: list[int]) -> tuple[_Layout, list[tuple[str, int]]
     follows Y_i and X_i' joins one contiguous range."""
     rects: list[tuple[range, range, Sign]] = []
     labels: list[tuple[str, range, str]] = []
-    block_sizes: list[tuple[str, int]] = []
     y_blocks: list[range] = []  # Y_1 .. Y_i
     start = prev = 0
     for i, target in enumerate(targets, start=1):
@@ -116,15 +116,13 @@ def _positive_blocks(targets: list[int]) -> tuple[_Layout, list[tuple[str, int]]
         named = [(f"_{i}", block)] + ([(f"_{i}'", primed)] if i > 1 else [])
         for part, letter in (("u", "X"), ("v", "Y")):
             for suffix, members in named:
-                name = letter + suffix
-                block_sizes.append((name, len(members)))
-                labels.append((part, members, name))
+                labels.append((part, members, letter + suffix))
         y_blocks.append(block)
         rects.extend((block, ys, _POS) for ys in y_blocks)
         rects.append((primed, range(start, start + target), _POS))  # Y_i and Y_i'
         start += target
         prev = target
-    return _Layout(start, start, rects, labels), block_sizes
+    return _Layout(start, start, rects, labels)
 
 
 def _mirrored(g: _Layout) -> _Layout:
@@ -214,22 +212,18 @@ def _build(elems: frozenset[int]) -> tuple[_Layout, str, list[tuple[str, int]]]:
     if not positives:
         square = _signed([(0, 0), (1, 1)], [(0, 1), (1, 0)])
         return _Layout(2, 2, square, []), "zero_only", [("U", 2), ("V", 2)]
-    g1, blocks1 = _positive_blocks(positives)
+    g1 = _positive_blocks(positives)
     if not negatives:
         if 0 not in elems:
-            return g1, "positive", blocks1
-        return _attach_zero_gadget(g1, 0, 0), "nonneg_with_zero", blocks1 + _GADGET_BLOCKS
-    g2, _, blocks2 = _build(negatives)
+            return g1, "positive", _blocks(g1)
+        grown = _attach_zero_gadget(g1, 0, 0)
+        return grown, "nonneg_with_zero", _blocks(grown)
+    g2 = _build(negatives)[0]
     if 0 not in elems:
-        block_sizes = (
-            _tagged("G1", blocks1)
-            + _tagged("G1'", blocks1)
-            + _tagged("G2", blocks2)
-            + _tagged("G2'", blocks2)
-        )
+        block_sizes = _blocks(g1, "G1.") + _blocks(g1, "G1'.") + _blocks(g2, "G2.") + _blocks(g2, "G2'.")
         return _bridge_mixed(g1, g1, g2, g2), "mixed_nonzero", block_sizes
-    block_sizes = _tagged("G1", blocks1) + _tagged("G2", blocks2) + [("x", 1), ("y", 1)]
-    return _bridge_with_zero(g1, g2), "mixed_with_zero", block_sizes
+    bridged = _bridge_with_zero(g1, g2)  # its last two labels are the fresh x and y
+    return bridged, "mixed_with_zero", _blocks(g1, "G1.") + _blocks(g2, "G2.") + _blocks(bridged)[-2:]
 
 
 def _graph(g: _Layout) -> SignedBipartiteGraph:
@@ -244,40 +238,27 @@ def _graph(g: _Layout) -> SignedBipartiteGraph:
     return SignedBipartiteGraph(g.p, g.q, edges, labels)
 
 
-def _cut(ranges: list[range], size: int) -> tuple[list[range], list[list[int]]]:
+def _cut(ranges: list[range], size: int) -> tuple[list[range], dict[int, int]]:
     """range(size) cut at both ends of every range: the intervals in order
-    and the ranges covering each interval, by index.  The vertices of one
-    interval share every neighbour.  A range outside range(size) raises
-    AssertionError."""
+    and the index of the interval starting at each cut (size maps to the
+    number of intervals).  The vertices of one interval share every
+    neighbour.  A range outside range(size) raises AssertionError."""
     cuts = sorted({0, size}.union(map(attrgetter("start"), ranges), map(attrgetter("stop"), ranges)))
     if cuts[0] < 0 or cuts[-1] > size:
         raise AssertionError("a piece of the layout lies outside its part")
-    at = {cut: i for i, cut in enumerate(cuts)}
-    cover: list[list[int]] = [[] for _ in cuts[1:]]
-    for k, r in enumerate(ranges):
-        for i in range(at[r.start], at[r.stop]):
-            cover[i].append(k)
-    return list(map(range, cuts, cuts[1:])), cover
+    return list(map(range, cuts, cuts[1:])), {cut: i for i, cut in enumerate(cuts)}
 
 
-def _connected(pieces: int, covers: list[list[int]]) -> bool:
-    """Whether the pieces join every vertex of a graph with more than one
-    vertex, given the cover of every interval of both parts (from ``_cut``):
-    every interval must be covered, and a union-find that joins the pieces
-    covering a common interval must leave one class."""
-    if not all(covers):
-        return False  # the vertices of an uncovered interval have no edge
-    parent = list(range(pieces))
-
-    def root(k: int) -> int:
-        while parent[k] != k:
-            parent[k] = k = parent[parent[k]]
-        return k
-
-    for cover in covers:
-        first = root(cover[0])
-        for k in cover[1:]:
-            parent[root(k)] = first
+def _connected(n: int, pairs: Iterable[tuple[int, int]]) -> bool:
+    """Whether joining each pair of nodes among 0 .. n-1 leaves one class:
+    a union-find with path halving, inlined because it runs once per pair."""
+    parent = list(range(n))
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        parent[a] = b
     return sum(k == up for k, up in enumerate(parent)) == 1
 
 
@@ -291,29 +272,28 @@ class _Survey(NamedTuple):
 
 
 def _survey(g: _Layout) -> _Survey:
-    """The rows, degrees and connectivity of a layout's graph, in time
-    polynomial in the number of pieces and independent of their sizes; no
-    edge is made.  Raises AssertionError when a piece lies outside its part
-    or two pieces share an edge."""
-    pieces = sorted((rect for rect in g.rects if rect[0] and rect[1]), key=lambda rect: rect[1].start)
-    us, u_cover = _cut([xs for xs, _, _ in pieces], g.p)
-    vs, v_cover = _cut([ys for _, ys, _ in pieces], g.q)
-    rows = []
-    for interval, cover in zip(us, u_cover):
-        if cover:
-            spans = [pieces[k][1:] for k in cover]  # ascending by start, as the pieces are
-            # two pieces share an edge iff they cover a common U interval and overlap on V
-            for (a, _), (b, _) in zip(spans, spans[1:]):
-                if a.stop > b.start:
-                    raise AssertionError(f"two pieces of the layout share an edge at u{interval.start + 1}")
-            rows.append((interval, spans))
-    # an interval's degree: the signed widths, on the other part, of the pieces covering it
-    signs = [1 if sign is _POS else -1 for _, _, sign in pieces]
-    u_widths = [s * (ys.stop - ys.start) for s, (_, ys, _) in zip(signs, pieces)]
-    v_widths = [s * (xs.stop - xs.start) for s, (xs, _, _) in zip(signs, pieces)]
-    du = [sum(map(u_widths.__getitem__, cover)) for cover in u_cover]
-    dv = [sum(map(v_widths.__getitem__, cover)) for cover in v_cover]
-    connected = g.p + g.q == 1 or _connected(len(pieces), u_cover + v_cover)
+    """The rows, degrees and connectivity of a layout's graph, read from its
+    quotient, in time polynomial in the number of pieces and independent of
+    their sizes; no edge is made.  Raises AssertionError when a piece lies
+    outside its part or two pieces share an edge."""
+    pieces = [rect for rect in g.rects if rect[0] and rect[1]]
+    us, u_at = _cut([xs for xs, _, _ in pieces], g.p)
+    vs, v_at = _cut([ys for _, ys, _ in pieces], g.q)
+    # the quotient: U interval i and V interval j are joined completely, with one sign, or not at all
+    cells: dict[tuple[int, int], Sign] = {}
+    for xs, ys, sign in pieces:
+        for cell in product(range(u_at[xs.start], u_at[xs.stop]), range(v_at[ys.start], v_at[ys.stop])):
+            if cell in cells:
+                raise AssertionError(f"two pieces of the layout share an edge at u{us[cell[0]].start + 1}")
+            cells[cell] = sign
+    du = [0] * len(us)
+    dv = [0] * len(vs)
+    for (i, j), sign in cells.items():
+        unit = 1 if sign is _POS else -1  # not sign.value, a slow enum property
+        du[i] += unit * (vs[j].stop - vs[j].start)
+        dv[j] += unit * (us[i].stop - us[i].start)
+    rows = [(us[i], [(vs[j], cells[i, j]) for _, j in row]) for i, row in groupby(sorted(cells), itemgetter(0))]
+    connected = _connected(len(us) + len(vs), ((i, len(us) + j) for i, j in cells))
     return _Survey(rows, list(zip(us, du)), list(zip(vs, dv)), connected)
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "Standard",
     "AllZero",
     "NotStandard",
-    "NormalForm",
     "normalize_standard",
     "reduce_hakimi",
     "choose_m",
@@ -66,9 +65,6 @@ class NotStandard(NamedTuple):
     """No orientation is standard; ``reason`` names the violated condition."""
 
     reason: str
-
-
-NormalForm = Standard | AllZero | NotStandard
 
 
 def _normal(seq: Iterable[int]) -> tuple[list[int], bool, str | None]:
@@ -114,7 +110,7 @@ def _pivot(vals: Sequence[int]) -> int:
     return lo
 
 
-def normalize_standard(seq: Iterable[int]) -> NormalForm:
+def normalize_standard(seq: Iterable[int]) -> Standard | AllZero | NotStandard:
     """Sort non-increasing, orient the head positive and dominant, classify."""
     vals, negated, reason = _normal(seq)
     if not vals:

@@ -235,6 +235,13 @@ class TestExitCodes:
         assert run(capsys, "realize")[0] == 1  # missing --set
         assert run(capsys, "no-such-command")[0] == 1
 
+    def test_help_is_0_and_returned_not_raised(self, capsys):
+        for argv in (["--help"], ["realize", "--help"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 0
+            assert out.startswith("usage: sdegree")
+            assert err == ""
+
     def test_oracle_guard_is_2(self, capsys):
         code, _, err = run(
             capsys, "check-seq", "--seq", "1,1,1,1,1,1,1,1", "--method", "oracle"

@@ -252,6 +252,18 @@ def test_mixed_case_reports_piece_blocks():
     assert all(size == 1 for _, size in report.block_sizes)
 
 
+def test_block_sizes_are_the_runs_of_the_block_labels():
+    cases = set()
+    for target in acceptance_targets():
+        report = realize_set(target)
+        if report.case_used in ("positive", "negative", "nonneg_with_zero", "nonpos_with_zero"):
+            runs = [(name, len(list(run))) for name, run in itertools.groupby(report.graph.block_labels.values())]
+            assert report.block_sizes == runs
+            cases.add(report.case_used)
+    assert len(cases) == 4
+    assert realize_set({0}).block_sizes == [("U", 2), ("V", 2)]
+
+
 def test_mixed_with_zero_reports_gadget_vertices():
     report = realize_set({2, 0, -1})
     assert report.block_sizes[-2:] == [("x", 1), ("y", 1)]
@@ -402,7 +414,7 @@ def test_postcondition_survives_python_optimize():
     script = (
         "import sys\n"
         "import sdegree.realize as realize\n"
-        "realize._connected = lambda pieces, covers: False\n"
+        "realize._connected = lambda n, pairs: False\n"
         "try:\n"
         "    realize.realize_set({1})\n"
         "except AssertionError:\n"
