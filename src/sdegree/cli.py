@@ -38,6 +38,9 @@ def _sizable(value: int, what: str) -> None:
 
 class _ArgumentParser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
+        # help wraps at argparse's width without a terminal, whatever COLUMNS
+        # says; the subparsers are made by this class, so they share it
+        kwargs.setdefault("formatter_class", lambda prog: argparse.HelpFormatter(prog, width=78))
         super().__init__(*args, **kwargs)
         # Values like "-6,-5" must stay values, not option strings; safe
         # because no option here starts with a digit.

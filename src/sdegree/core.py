@@ -9,7 +9,7 @@ as immutable; every operation that "changes" a graph returns a new one.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Mapping
+from collections.abc import Collection, Iterable, Mapping
 from itertools import repeat
 
 # signed_degree_sequences and join_all_positive are not listed: only the
@@ -172,30 +172,35 @@ def signed_degree_sequences(
 def is_connected(g: SignedBipartiteGraph) -> bool:
     """True when the underlying unsigned graph has a single component.
 
-    Signs are ignored; a one-vertex graph counts as connected.  Fewer edges
-    than vertices minus one cannot connect the graph, so that answer comes
-    before any per-vertex allocation.
+    Signs are ignored; a one-vertex graph counts as connected.
     """
     if not isinstance(g, SignedBipartiteGraph):
         raise TypeError(f"not a signed bipartite graph: {g!r}")
-    total = g.p + g.q
-    if total == 0:
+    if g.p + g.q == 0:
         raise ValueError("connectivity of an empty graph is undefined")
-    if len(g.edges) < total - 1:
+    return _connected(g.p, g.q, g.edges)
+
+
+def _connected(p: int, q: int, pairs: Collection[tuple[int, int]]) -> bool:
+    """Whether joining U vertex u to V vertex v for each (u, v) in pairs
+    leaves the p + q vertices in one component; a vertex in no pair stays
+    apart.  Fewer pairs than vertices minus one cannot connect them, so that
+    answer comes before any per-vertex allocation."""
+    if len(pairs) < p + q - 1:
         return False
-    if not g.edges:
+    if not pairs:
         return True  # the one vertex of a 1 x 0 or 0 x 1 graph
-    # One adjacency list per vertex of each part, holding the edge keys' own
-    # ints, so no vertex number is computed (and allocated) per edge end.
+    # One adjacency list per vertex of each part, holding the pairs' own
+    # ints, so no vertex number is computed (and allocated) per pair end.
     # The search reaches V vertices from U vertex 0 and U vertices through
     # each V vertex the first time it is reached.
-    u_nbrs: list[list[int]] = [[] for _ in range(g.p)]
-    v_nbrs: list[list[int]] = [[] for _ in range(g.q)]
-    for u, v in g.edges:
+    u_nbrs: list[list[int]] = [[] for _ in range(p)]
+    v_nbrs: list[list[int]] = [[] for _ in range(q)]
+    for u, v in pairs:
         u_nbrs[u].append(v)
         v_nbrs[v].append(u)
-    u_reached = [False] * g.p
-    v_reached = [False] * g.q
+    u_reached = [False] * p
+    v_reached = [False] * q
     u_reached[0] = True
     stack = [0]
     while stack:

@@ -20,13 +20,13 @@ interval and a V interval are joined completely, with one sign, or not at
 all.  The survey builds that quotient once, one cell per joined pair of
 intervals, and reads everything from it: no two rectangles may fill one
 cell; an interval's degree is the signed sizes of the intervals across its
-cells; connectivity is a union-find over the intervals, joined by the
-cells; and the rows are the cells in order.  All of it takes time
-polynomial in the number of rectangles, O(|S|^2), whatever their sizes.
-``realize_set`` then creates every edge once and validates the graph once,
-by its constructor.  ``write_realization`` builds no graph: it writes
-``emit_graph``'s and ``emit_dot``'s bytes row by row, from each U interval's
-sorted V spans, through the one writer of each format in ``sdegree.textio``.
+cells; the graph is connected when the quotient is, by ``sdegree.core``'s
+search with the cells as edges; and the rows are the cells in order.  All
+of it takes time polynomial in the number of rectangles, O(|S|^2), whatever
+their sizes.  ``realize_set`` then creates every edge once and validates the
+graph once, by its constructor.  ``write_realization`` builds no graph: it
+hands each U interval's sorted V spans and the layout's label runs to the
+one writer of each format in ``sdegree.textio``.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from . import _integers
 from .core import (  # noqa: F401 -- perfbench/tracing.py wraps the unused names here
     Sign,
     SignedBipartiteGraph,
+    _connected,
     is_connected,
     join_all_positive,
     signed_degree_sequences,
@@ -130,17 +131,18 @@ def _mirrored(g: _Layout) -> _Layout:
     return g._replace(rects=[(xs, ys, _FLIPPED[sign]) for xs, ys, sign in g.rects])
 
 
-def _attach_zero_gadget(g: _Layout, u1: int, v1: int) -> _Layout:
+def _attach_zero_gadget(g: _Layout) -> _Layout:
     """Extend a connected construction with vertices x1, x2 (U side) and y1,
     y2 (V side), all four at signed degree zero, moving no existing degree.
 
-    New edges: positive u1-y1, x1-v1, x2-y2 and negative u1-y2, x1-y1,
-    x2-v1; each touched vertex gains one edge of each sign.  The new
-    vertices take the next indices after the existing ones.
+    New edges, with u1 and v1 the first vertices of U and V: positive u1-y1,
+    x1-v1, x2-y2 and negative u1-y2, x1-y1, x2-v1; each touched vertex gains
+    one edge of each sign.  The new vertices take the next indices after the
+    existing ones.
     """
     x1, x2 = g.p, g.p + 1
     y1, y2 = g.q, g.q + 1
-    rects = g.rects + _signed([(u1, y1), (x1, v1), (x2, y2)], [(u1, y2), (x1, y1), (x2, v1)])
+    rects = g.rects + _signed([(0, y1), (x1, 0), (x2, y2)], [(0, y2), (x1, y1), (x2, 0)])
     labels = g.labels + _single_vertices(("u", x1, "x_1"), ("u", x2, "x_2"), ("v", y1, "y_1"), ("v", y2, "y_2"))
     return _Layout(g.p + 2, g.q + 2, rects, labels)
 
@@ -166,18 +168,16 @@ def _concat(*pieces: _Layout) -> tuple[_Layout, list[int], list[int]]:
     return _Layout(p, q, rects, labels), u_offsets, v_offsets
 
 
-def _bridge_mixed(g1: _Layout, g1_copy: _Layout, g2: _Layout, g2_copy: _Layout) -> _Layout:
-    """Disjoint union of four connected constructions (concatenated in
-    argument order) plus four degree-neutral bridge edges that connect the
-    result.
+def _bridge_mixed(g1: _Layout, g2: _Layout) -> _Layout:
+    """Disjoint union of two copies of each of two connected constructions
+    (g1, g1', g2, g2', concatenated in that order) plus four degree-neutral
+    bridge edges that connect the result.
 
-    The bridge runs between the first u-vertex of g1 and of g1_copy and the
-    first v-vertex of g2 and of g2_copy: positive u1-v2', u1'-v2 and negative
+    The bridge runs between the first u-vertex of g1 and of g1' and the
+    first v-vertex of g2 and of g2': positive u1-v2', u1'-v2 and negative
     u1-v2, u1'-v2'.  Every bridge endpoint gains one edge of each sign.
-    Each copy must mirror its original (part sizes and degree sequences);
-    layouts are values, so a piece may be passed as its own copy.
     """
-    merged, u_off, v_off = _concat(g1, g1_copy, g2, g2_copy)
+    merged, u_off, v_off = _concat(g1, g1, g2, g2)
     u1, u1c = u_off[0], u_off[1]
     v2, v2c = v_off[2], v_off[3]
     merged.rects.extend(_signed([(u1, v2c), (u1c, v2)], [(u1, v2), (u1c, v2c)]))
@@ -216,12 +216,12 @@ def _build(elems: frozenset[int]) -> tuple[_Layout, str, list[tuple[str, int]]]:
     if not negatives:
         if 0 not in elems:
             return g1, "positive", _blocks(g1)
-        grown = _attach_zero_gadget(g1, 0, 0)
+        grown = _attach_zero_gadget(g1)
         return grown, "nonneg_with_zero", _blocks(grown)
     g2 = _build(negatives)[0]
     if 0 not in elems:
         block_sizes = _blocks(g1, "G1.") + _blocks(g1, "G1'.") + _blocks(g2, "G2.") + _blocks(g2, "G2'.")
-        return _bridge_mixed(g1, g1, g2, g2), "mixed_nonzero", block_sizes
+        return _bridge_mixed(g1, g2), "mixed_nonzero", block_sizes
     bridged = _bridge_with_zero(g1, g2)  # its last two labels are the fresh x and y
     return bridged, "mixed_with_zero", _blocks(g1, "G1.") + _blocks(g2, "G2.") + _blocks(bridged)[-2:]
 
@@ -249,19 +249,6 @@ def _cut(ranges: list[range], size: int) -> tuple[list[range], dict[int, int]]:
     return list(map(range, cuts, cuts[1:])), {cut: i for i, cut in enumerate(cuts)}
 
 
-def _connected(n: int, pairs: Iterable[tuple[int, int]]) -> bool:
-    """Whether joining each pair of nodes among 0 .. n-1 leaves one class:
-    a union-find with path halving, inlined because it runs once per pair."""
-    parent = list(range(n))
-    for a, b in pairs:
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        parent[a] = b
-    return sum(k == up for k, up in enumerate(parent)) == 1
-
-
 class _Survey(NamedTuple):
     """What a layout's graph is, found from its pieces alone."""
 
@@ -274,8 +261,9 @@ class _Survey(NamedTuple):
 def _survey(g: _Layout) -> _Survey:
     """The rows, degrees and connectivity of a layout's graph, read from its
     quotient, in time polynomial in the number of pieces and independent of
-    their sizes; no edge is made.  Raises AssertionError when a piece lies
-    outside its part or two pieces share an edge."""
+    their sizes; no edge is made.  An interval no piece covers is a quotient
+    vertex with no edge.  Raises AssertionError when a piece lies outside
+    its part or two pieces share an edge."""
     pieces = [rect for rect in g.rects if rect[0] and rect[1]]
     us, u_at = _cut([xs for xs, _, _ in pieces], g.p)
     vs, v_at = _cut([ys for _, ys, _ in pieces], g.q)
@@ -293,8 +281,7 @@ def _survey(g: _Layout) -> _Survey:
         du[i] += unit * (vs[j].stop - vs[j].start)
         dv[j] += unit * (us[i].stop - us[i].start)
     rows = [(us[i], [(vs[j], cells[i, j]) for _, j in row]) for i, row in groupby(sorted(cells), itemgetter(0))]
-    connected = _connected(len(us) + len(vs), ((i, len(us) + j) for i, j in cells))
-    return _Survey(rows, list(zip(us, du)), list(zip(vs, dv)), connected)
+    return _Survey(rows, list(zip(us, du)), list(zip(vs, dv)), _connected(len(us), len(vs), cells))
 
 
 def _checked(elems: frozenset[int]) -> tuple[_Layout, str, list[tuple[str, int]], _Survey]:
@@ -354,9 +341,8 @@ def write_realization(
     layout, case, _, survey = _checked(_elements(s))
     p, q, rows = layout.p, layout.q, survey.rows
     if out is not None:
-        runs = sorted(layout.labels, key=lambda label: (label[0] != "u", label[1].start))
         with open(out, "w") as text:
-            write_rows(text, p, q, rows, ((part, i, name) for part, members, name in runs for i in members))
+            write_rows(text, p, q, rows, layout.labels)
     if dot is not None:
         with open(dot, "w") as text:
             write_dot_rows(text, p, q, _per_vertex(survey.u_degrees), _per_vertex(survey.v_degrees), rows)

@@ -114,14 +114,17 @@ def _edge_text(head: str, rows: Iterable[tuple[range, list[str]]]) -> Iterator[s
                 yield first + ("\n" + first).join(ends) + "\n"
 
 
-def _edge_list(p: int, q: int, rows, labels: Iterable[tuple[str, int, str]]) -> Iterator[str]:
+def _edge_list(p: int, q: int, rows, labels: Iterable[tuple[str, range, str]]) -> Iterator[str]:
     """The edge-list document in pieces.  ``rows(plus, minus)`` gives the
-    rows, with those V-end templates; ``labels`` gives (part, index, tag),
-    U side first, each part by index."""
+    rows, with those V-end templates; ``labels`` gives label runs (part,
+    members, tag), disjoint and in any order: every vertex of the part
+    whose index is in the range members carries tag.  The label comments
+    list U vertices first, each part by index."""
     yield f"sbg {p} {q}\n"
     yield from _edge_text(_LIST_HEAD, rows(*_LIST_ENDS))
-    for part, idx, tag in labels:
-        yield f"# {part}{idx + 1} {tag}\n"
+    for part, members, tag in sorted(labels, key=lambda run: (run[0] != "u", run[1].start)):
+        for i in members:
+            yield f"# {part}{i + 1} {tag}\n"
 
 
 def _dot(p: int, q: int, du: Iterable[int], dv: Iterable[int], rows) -> Iterator[str]:
@@ -140,8 +143,8 @@ def _dot(p: int, q: int, du: Iterable[int], dv: Iterable[int], rows) -> Iterator
 
 def emit_graph(g: SignedBipartiteGraph) -> str:
     """Serialize to the edge-list format; deterministic for equal graphs."""
-    labels = sorted(g.block_labels.items(), key=lambda kv: (kv[0][0] != "u", kv[0][1]))
-    return "".join(_edge_list(g.p, g.q, partial(_graph_rows, g), (key + (tag,) for key, tag in labels)))
+    labels = [(part, range(i, i + 1), tag) for (part, i), tag in g.block_labels.items()]
+    return "".join(_edge_list(g.p, g.q, partial(_graph_rows, g), labels))
 
 
 def emit_dot(g: SignedBipartiteGraph) -> str:
@@ -151,11 +154,11 @@ def emit_dot(g: SignedBipartiteGraph) -> str:
     return "".join(_dot(g.p, g.q, du, dv, partial(_graph_rows, g)))
 
 
-def write_rows(out: TextIO, p: int, q: int, rows: Iterable, labels: Iterable[tuple[str, int, str]]) -> None:
+def write_rows(out: TextIO, p: int, q: int, rows: Iterable, labels: Iterable[tuple[str, range, str]]) -> None:
     """Write to ``out`` the edge-list document of the graph whose edges are
-    ``rows``, as ``_span_rows`` reads them, with ``labels`` as for
-    ``_edge_list``: the bytes ``emit_graph`` writes for that graph, one U
-    vertex at a time."""
+    ``rows``, as ``_span_rows`` reads them, and whose labels are the runs
+    ``labels``, in any order, as for ``_edge_list``: the bytes ``emit_graph``
+    writes for that graph, one U vertex at a time."""
     out.writelines(_edge_list(p, q, partial(_span_rows, rows), labels))
 
 

@@ -242,6 +242,16 @@ class TestExitCodes:
             assert out.startswith("usage: sdegree")
             assert err == ""
 
+    def test_help_does_not_depend_on_the_terminal_width(self, capsys, monkeypatch):
+        for argv in (["--help"], ["realize", "--help"]):
+            outs = []
+            for columns in ("40", "200"):
+                monkeypatch.setenv("COLUMNS", columns)
+                code, out, _ = run(capsys, *argv)
+                assert code == 0
+                outs.append(out)
+            assert outs[0] == outs[1]
+
     def test_oracle_guard_is_2(self, capsys):
         code, _, err = run(
             capsys, "check-seq", "--seq", "1,1,1,1,1,1,1,1", "--method", "oracle"

@@ -116,7 +116,7 @@ def _shifted(rect, du, dv):
 class TestAttachZeroGadget:
     def test_adds_four_zero_vertices_and_moves_nothing(self):
         base, base_graph = _piece({2, 3})
-        grown = realize_module._attach_zero_gadget(base, 0, 0)
+        grown = realize_module._attach_zero_gadget(base)
         # the gadget keeps every rectangle and adds six single edges
         assert grown.rects[: len(base.rects)] == base.rects
         assert _single_edges(grown.rects[len(base.rects) :]) == 6
@@ -130,7 +130,7 @@ class TestAttachZeroGadget:
 
     def test_labels_the_new_vertices(self):
         base, _ = _piece({1})
-        grown = realize_module._attach_zero_gadget(base, 0, 0)
+        grown = realize_module._attach_zero_gadget(base)
         assert grown.labels[len(base.labels) :] == [
             ("u", range(1, 2), "x_1"),
             ("u", range(2, 3), "x_2"),
@@ -148,7 +148,7 @@ class TestBridges:
     def test_bridge_mixed_preserves_piece_degrees(self):
         g1, graph1 = _piece({1, 3})
         g2, graph2 = _piece({-2})
-        merged = realize_module._bridge_mixed(g1, g1, g2, g2)
+        merged = realize_module._bridge_mixed(g1, g2)
         # each piece's rectangles, offset by the part sizes before it
         n1 = len(g1.rects)
         assert merged.rects[:n1] == g1.rects
@@ -414,7 +414,7 @@ def test_postcondition_survives_python_optimize():
     script = (
         "import sys\n"
         "import sdegree.realize as realize\n"
-        "realize._connected = lambda n, pairs: False\n"
+        "realize._connected = lambda p, q, pairs: False\n"
         "try:\n"
         "    realize.realize_set({1})\n"
         "except AssertionError:\n"
@@ -489,6 +489,25 @@ def test_layout_survey_agrees_with_the_built_graph_when_pieces_are_dropped():
             checked += 1
             disconnected += not survey.connected
     assert checked == 5 * 231 and disconnected > 100
+
+
+def test_the_survey_asks_core_for_connectivity():
+    assert realize_module._connected is sdegree.core._connected
+
+
+# a positive set, one with 0, both kinds of mixed set and a nonpositive one
+_LABELLED_SETS = [{1, 4, 6}, {0, 2, 5}, {-3, 1, 2}, {-2, 0, 3}, {-4, -1, 0}]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_LABELLED_SETS), st.randoms(use_true_random=False))
+def test_write_rows_orders_label_runs_given_in_any_order(s, rng):
+    layout, _, _, survey = realize_module._checked(frozenset(s))
+    runs = list(layout.labels)
+    rng.shuffle(runs)
+    text = io.StringIO()
+    textio.write_rows(text, layout.p, layout.q, survey.rows, runs)
+    assert text.getvalue() == emit_graph(realize_set(s).graph)
 
 
 def test_layout_survey_refuses_a_repeated_rectangle():
