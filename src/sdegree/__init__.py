@@ -55,6 +55,7 @@ _MODULE_OF = {
     "emit_dot": "textio",
     "emit_graph": "textio",
     "parse_graph": "textio",
+    "read_degree_set": "textio",
 }
 
 __all__ = sorted(_MODULE_OF)

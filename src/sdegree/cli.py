@@ -113,15 +113,12 @@ def _cmd_gale_ryser(args) -> int:
 
 def _cmd_degree_set(args) -> int:
     if args.infile == "-":
-        text = sys.stdin.read()
+        degrees, connected = _lib.read_degree_set(sys.stdin)
     else:
         with open(args.infile) as infile:
-            text = infile.read()
-    graph = _lib.parse_graph(text)
-    _sizable(graph.p, "part size")
-    _sizable(graph.q, "part size")
-    print("degree set: " + ",".join(str(x) for x in sorted(_lib.signed_degree_set(graph))))
-    print(f"connected: {_word(_lib.is_connected(graph))}")
+            degrees, connected = _lib.read_degree_set(infile)
+    print("degree set: " + ",".join(str(x) for x in sorted(degrees)))
+    print(f"connected: {_word(connected)}")
     return 0
 
 

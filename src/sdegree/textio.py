@@ -15,29 +15,53 @@ feeds from a construction's layout without building its graph).  Every U
 vertex's edge lines are one join of its head before the V ends of its row,
 and each V end is formatted once per row, not once per edge.
 
-``parse_graph`` reads a canonical document, exactly what ``emit_graph``
-writes, in bulk: one regular-expression match checks the whole text, then
-the edge lines are split into tokens in chunks of bounded size, each
-distinct vertex token is converted to an index once, and the edge dict is
-filled from the tokens by ``zip`` and ``map``.  Any other text (other
-spacing, CRLF line ends, comments or labels between edges, a missing final
-newline) and any canonical text the graph refuses (an index out of range,
-a duplicate edge) goes to the line-by-line parser, the one source of
-``ParseError`` messages.
+A *canonical* document is exactly what ``emit_graph`` writes: the header
+``sbg <p> <q>`` with each size ``0`` or ASCII digits without a leading zero,
+then edge lines ``u<i> v<j> <+|->`` and then label lines ``# u<i> <tag>``,
+each index a positive number in ASCII digits without a leading zero, single
+spaces, and a newline after every line.  So two index tokens are equal
+exactly when their numbers are: ``v01``, or ``v`` and an Arabic-Indic digit
+one, which ``int`` reads as 1, are not canonical.  Canonical edge lines
+are split into tokens in one place, a chunk of whole lines of about
+``_CHUNK`` characters at a time.
+
+``parse_graph`` reads a canonical document in bulk: one regular-expression
+match checks the whole text, then each distinct vertex token of the split
+lines is converted to an index once, and the edge dict is filled from the
+tokens by ``zip`` and ``map``.
+
+``read_degree_set`` answers what the ``degree-set`` command asks, the signed
+degree set and connectivity of a document's graph, from a file in one pass,
+without building the graph.  It checks each chunk as it reads it; each run
+of a U vertex's edge lines gives that vertex's degree, counts keyed by V
+token give the V degrees, and a union-find over V tokens, merged once per
+run, gives connectivity.  It holds the current chunk's tokens and a few
+entries per vertex seen, never per declared vertex: O(p + q + chunk)
+memory.  A source that cannot seek back, such as stdin from a pipe, is
+read whole first.
+
+Any other text (other spacing, CRLF line ends, comments or labels between
+edges, a missing final newline, a U vertex whose lines are not adjacent,
+for the reader) and any canonical text the graph refuses (an index or label
+out of range, a duplicate edge) goes to the line-by-line parser, the one
+source of ``ParseError`` messages, and the reader answers from its graph.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from functools import partial
-from itertools import groupby
-from operator import itemgetter
+from itertools import chain, compress, count, groupby, islice
+from operator import itemgetter, ne
 from typing import TextIO
 
-from .core import Sign, SignedBipartiteGraph, degree_vectors
+from . import _SizeLimit
+from .core import Sign, SignedBipartiteGraph, degree_vectors, is_connected, signed_degree_set
 
-__all__ = ["ParseError", "emit_graph", "parse_graph", "emit_dot"]
+__all__ = ["ParseError", "emit_graph", "parse_graph", "emit_dot", "read_degree_set"]
 
 
 class ParseError(ValueError):
@@ -51,18 +75,22 @@ class ParseError(ValueError):
 _HEADER_RE = re.compile(r"sbg\s+(\d+)\s+(\d+)")
 _EDGE_RE = re.compile(r"u(\d+)\s+v(\d+)\s+([+-])")
 _LABEL_RE = re.compile(r"#\s+([uv])(\d+)\s+(\S+)")
-# What emit_graph writes.  Possessive repeats keep no backtracking state
-# per line, so checking a long document takes no memory per edge.
-_CANONICAL_RE = re.compile(
-    r"sbg (\d++) (\d++)\n"
-    r"((?:u\d++ v\d++ [+-]\n)*+)"
-    r"((?:# [uv]\d++ \S++\n)*+)"
-)
-_CANONICAL_LABEL_RE = re.compile(r"# ([uv])(\d++) (\S++)\n")
+# What emit_graph writes, and nothing else: ASCII indices without leading
+# zeros, so that two tokens are equal exactly when their numbers are.
+# Possessive repeats keep no backtracking state per line, so checking a long
+# document takes no memory per edge.
+_SIZE, _INDEX = r"(0|[1-9][0-9]*+)", r"[1-9][0-9]*+"
+_CANONICAL_EDGES = rf"(?:u{_INDEX} v{_INDEX} [+-]\n)*+"
+_CANONICAL_RE = re.compile(rf"sbg {_SIZE} {_SIZE}\n({_CANONICAL_EDGES})((?:# [uv]{_INDEX} \S++\n)*+)")
+_CANONICAL_EDGES_RE = re.compile(_CANONICAL_EDGES)
+_CANONICAL_LABEL_RE = re.compile(rf"# ([uv])({_INDEX}) (\S++)\n")
 _SIGN_OF = {"+": Sign.POSITIVE, "-": Sign.NEGATIVE}
+_DIGITS = itemgetter(slice(1, None))  # of a u<i> or v<j> token
+_IS_PLUS = bytes.maketrans(b"+-", b"\1\0")  # a string of signs, encoded, to compress's selectors
 # Characters of canonical edge lines split at once (rounded up to whole
 # lines): enough to amortise each step, few enough that the tokens stay small
-# next to the edge dict.  Must be at least 1.
+# next to the edge dict, or next to the reader's per-vertex tables.  Must be
+# at least 1.
 _CHUNK = 1 << 15
 
 
@@ -197,23 +225,180 @@ def parse_graph(text: str) -> SignedBipartiteGraph:
 
 def _canonical_edges(text: str, pos: int, end: int) -> dict[tuple[int, int], Sign] | None:
     """The edges of the canonical edge lines in text[pos:end], or None when
-    a line repeats an edge.  The lines are split into tokens a chunk of whole
-    lines at a time, so the tokens held at once stay bounded however long
+    a line repeats an edge.  The lines are split by ``_split_edge_lines`` a
+    chunk at a time, so the tokens held at once stay bounded however long
     the document is, and each distinct u<i> or v<j> token becomes an index
     once."""
     edges: dict[tuple[int, int], Sign] = {}
     index: dict[str, int] = {}  # "u3" -> 2 and "v3" -> 2
     lines = 0
-    while pos < end:
-        stop = text.find("\n", min(pos + _CHUNK, end) - 1) + 1  # the end of a line
-        tokens = text[pos:stop].split()
-        us, vs, signs = tokens[0::3], tokens[1::3], tokens[2::3]
+    for chunk in _text_chunks(text, pos, end):
+        us, vs, signs, _ = _split_edge_lines(chunk)
         index.update({token: int(token[1:]) - 1 for token in set(us).union(vs).difference(index)})
         keys = zip(map(index.__getitem__, us), map(index.__getitem__, vs))
         edges.update(zip(keys, map(_SIGN_OF.__getitem__, signs)))
         lines += len(signs)
-        pos = stop
     return edges if len(edges) == lines else None
+
+
+def _text_chunks(text: str, pos: int, end: int) -> Iterator[str]:
+    """text[pos:end] in pieces of whole lines, each about ``_CHUNK``
+    characters or one line, whichever is longer."""
+    while pos < end:
+        stop = text.find("\n", min(pos + _CHUNK, end) - 1, end) + 1 or end
+        yield text[pos:stop]
+        pos = stop
+
+
+def _file_chunks(source: TextIO) -> Iterator[str]:
+    """The rest of source in pieces of whole lines, as ``_text_chunks``."""
+    while chunk := source.read(_CHUNK):
+        yield chunk if chunk[-1] == "\n" else chunk + source.readline()
+
+
+def _split_edge_lines(chunk: str) -> tuple[list[str], list[str], list[str], str]:
+    """The u<i>, v<j> and sign tokens of the canonical edge lines that begin
+    chunk, and the text of chunk from the first other line on: the one place
+    where canonical edge lines are split."""
+    end = _CANONICAL_EDGES_RE.match(chunk).end()
+    tokens = (chunk if end == len(chunk) else chunk[:end]).split()
+    return tokens[0::3], tokens[1::3], tokens[2::3], chunk[end:]
+
+
+def read_degree_set(source: TextIO) -> tuple[frozenset[int], bool]:
+    """The signed degree set of the graph in the edge-list document read from
+    ``source``, and whether that graph is connected.
+
+    The answer, and every error, is that of ``signed_degree_set(g)`` and
+    ``is_connected(g)`` for ``g = parse_graph(source.read())``, except that
+    a declared part size above sys.maxsize raises the package's size-limit
+    error once the document is known to be well formed.  A canonical
+    document is answered in one pass over its lines, a chunk at a time,
+    without building the graph; any other document, or one the graph would
+    refuse, is parsed whole by ``parse_graph``.  A source that cannot seek
+    back (a pipe) is read whole first.
+    """
+    text = None
+    if source.seekable():
+        start = source.tell()
+        chunks = _file_chunks(source)
+    else:
+        text = source.read()
+        chunks = _text_chunks(text, 0, len(text))
+    try:
+        answer = _stream_degree_set(chunks)
+    except ValueError:  # undecodable bytes, or a number too long for int():
+        answer = None  # the whole read, or parse_graph, raises it as it always did
+    if answer is None:
+        if text is None:
+            source.seek(start)
+            text = source.read()
+        g = parse_graph(text)
+        _sizable(g.p, g.q)
+        return signed_degree_set(g), is_connected(g)
+    p, q, degrees, connected = answer
+    _sizable(p, q)
+    return degrees, connected
+
+
+def _sizable(*sizes: int) -> None:
+    # Python cannot make a list or range longer than sys.maxsize.
+    for size in sizes:
+        if size > sys.maxsize:
+            raise _SizeLimit(f"part size {size} exceeds the size limit {sys.maxsize}")
+
+
+def _stream_degree_set(chunks: Iterator[str]) -> tuple[int, int, frozenset[int], bool] | None:
+    """(p, q, degree set, connected) of the canonical document made of the
+    whole-line ``chunks``, or None when the document is not canonical, when
+    the graph would refuse it (an index or label out of range, a repeated
+    edge, no vertex at all), or when a U vertex's edge lines are not all
+    adjacent.
+
+    A U vertex's degree comes from its run of edge lines; a V vertex's from
+    counts keyed by its token.  Connectivity is a union-find over V tokens
+    in which each run joins the components of its V ends: a row's tokens
+    are looked up in C and only their distinct parents are walked in Python.
+    Nothing is held per declared vertex, only per vertex seen."""
+    head = next(chunks, "")
+    header = _CANONICAL_RE.match(head)  # its groups 3 and 4 stop at the chunk's end
+    if header is None:
+        return None
+    p, q = int(header[1]), int(header[2])
+    if p + q == 0:
+        return None
+    parent: dict[str, str] = {}  # V token -> a V token of its component; roots map to themselves
+    ends, positive = Counter(), Counter()  # V token -> its edges, its positive edges
+    runs: set[str] = set()  # the U tokens whose run of lines has begun
+    degrees: set[int] = set()
+    components = 0  # of the V tokens seen
+    u = root = None  # the current run's U token, and the root of its V ends
+    chunks = chain([head[header.start(3) :]], chunks)
+    for chunk in chunks:
+        us, vs, signs, rest = _split_edge_lines(chunk)
+        ends.update(vs)
+        positive.update(compress(vs, "".join(signs).encode().translate(_IS_PLUS)))
+        starts = list(compress(count(), map(ne, us, chain([None], us))))  # of runs
+        for a, b in zip(starts, [*islice(starts, 1, None), len(us)]):
+            token, row = us[a], vs[a:b]
+            seen = set(row)
+            if len(seen) < len(row):  # a repeated edge
+                return None
+            if token == u:  # the run goes on from the last chunk
+                if not seen.isdisjoint(run):
+                    return None
+                run |= seen
+                plus += signs[a:b].count("+")
+                edges += b - a
+            else:
+                if u is not None:
+                    degrees.add(2 * plus - edges)
+                if token in runs:
+                    return None
+                runs.add(token)
+                u, run, root = token, seen, None
+                plus, edges = signs[a:b].count("+"), b - a
+            tops = set(map(parent.get, row))
+            if None in tops:  # V tokens seen for the first time
+                tops.discard(None)
+                new = seen.difference(parent)
+                parent.update(zip(new, new))
+                tops |= new
+                components += len(new)
+            if root is not None:
+                tops.add(root)
+            roots = set()
+            for top in tops:
+                while (up := parent[top]) != top:
+                    top = up
+                roots.add(top)
+            root = roots.pop()
+            if roots or len(tops) > 1 or root not in tops:
+                components -= len(roots)
+                parent.update(dict.fromkeys(chain(roots, tops, row), root))
+        if rest:
+            break
+    else:
+        rest = ""
+    # every index in range, checked once per distinct token
+    if max(map(int, map(_DIGITS, runs)), default=0) > p or max(map(int, map(_DIGITS, ends)), default=0) > q:
+        return None
+    for chunk in chain([rest], chunks):  # the label lines
+        pos = 0
+        while pos < len(chunk):
+            label = _CANONICAL_LABEL_RE.match(chunk, pos)
+            if label is None or int(label[2]) > (p if label[1] == "u" else q):
+                return None
+            pos = label.end()
+    if u is not None:
+        degrees.add(2 * plus - edges)
+    degrees.update(2 * positive[v] - n for v, n in ends.items())
+    if len(runs) < p or len(ends) < q:  # a vertex without edges
+        degrees.add(0)
+        connected = p + q == 1
+    else:
+        connected = components == 1
+    return p, q, frozenset(degrees), connected
 
 
 def _parse_lines(text: str) -> SignedBipartiteGraph:

@@ -3,13 +3,14 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import sdegree
-from sdegree import connected_degree_sets, parse_graph
-from sdegree import cli
+from sdegree import connected_degree_sets, parse_graph, write_realization
+from sdegree import cli, textio
 from sdegree.cli import cli_main
 
 
@@ -146,6 +147,74 @@ def test_degree_set_echoes_ascending(tmp_path, capsys):
     code, out, _ = run(capsys, "degree-set", "--in", str(doc))
     assert code == 0
     assert out.splitlines()[0] == "degree set: -2,-1"
+
+
+HUGE_PART = str(sys.maxsize * 10**3)
+
+# degree-set on documents the streaming reader must hand to the line parser,
+# or answer as the graph would, with the exit code, stdout and stderr that
+# parsing the whole document into a graph gives.  Lines are read a few at a
+# time, so a repeated edge can sit in another chunk than its first copy.
+DEGREE_SET_REFUSALS = {
+    "repeated edge across chunks": (
+        "sbg 1 2\nu1 v1 +\nu1 v2 -\nu1 v1 -\n",
+        (1, "", "error: line 4: duplicate edge u1 v1\n"),
+    ),
+    "u0": ("sbg 1 1\nu0 v1 +\n", (1, "", "error: line 2: u0 out of range 1..1\n")),
+    "v beyond q": ("sbg 1 1\nu1 v2 +\n", (1, "", "error: line 2: v2 out of range 1..1\n")),
+    "label out of range": (
+        "sbg 1 1\nu1 v1 +\n# v2 Y_1\n",
+        (1, "", "error: line 3: v2 out of range 1..1\n"),
+    ),
+    "unsorted rows": (
+        "sbg 2 3\nu2 v3 -\nu2 v1 +\nu1 v2 +\nu1 v1 +\n",
+        (0, "degree set: -1,0,1,2\nconnected: true\n", ""),
+    ),
+    "a U vertex in two runs": (
+        "sbg 2 2\nu1 v1 +\nu2 v1 +\nu1 v2 +\n",
+        (0, "degree set: 1,2\nconnected: true\n", ""),
+    ),
+    "v01": ("sbg 1 1\nu1 v1 +\nu1 v01 -\n", (1, "", "error: line 3: duplicate edge u1 v1\n")),
+    "CRLF": ("sbg 2 1\r\nu1 v1 +\r\nu2 v1 -\r\n", (0, "degree set: -1,0,1\nconnected: true\n", "")),
+    "no final newline": ("sbg 1 2\nu1 v1 +\nu1 v2 +", (0, "degree set: 1,2\nconnected: true\n", "")),
+    "BOM": (
+        "\ufeffsbg 1 1\nu1 v1 +\n",
+        (1, "", "error: line 1: expected header 'sbg <p> <q>', got '\\ufeffsbg 1 1'\n"),
+    ),
+    "sbg 0 0": ("sbg 0 0\n", (1, "", "error: degree set of an empty graph is undefined\n")),
+    "sbg 01 1": ("sbg 01 1\nu1 v1 +\n", (0, "degree set: 1\nconnected: true\n", "")),
+    "an isolated vertex": ("sbg 3 2\nu1 v1 +\nu1 v2 -\n", (0, "degree set: -1,0,1\nconnected: false\n", "")),
+    "a bad line under a huge size": (
+        f"sbg {HUGE_PART} 1\nu1 v5 +\n",
+        (1, "", "error: line 2: v5 out of range 1..1\n"),
+    ),
+}
+
+
+@pytest.mark.parametrize("text, expected", DEGREE_SET_REFUSALS.values(), ids=list(DEGREE_SET_REFUSALS))
+def test_degree_set_answers_as_the_graph_does(text, expected, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(textio, "_CHUNK", 8)
+    doc = tmp_path / "g.sbg"
+    doc.write_bytes(text.encode())
+    assert run(capsys, "degree-set", "--in", str(doc)) == expected
+
+
+def test_degree_set_of_a_large_document_stays_small_and_quick(tmp_path, capsys):
+    doc = tmp_path / "g.sbg"
+    write_realization([1, 1000], out=str(doc))  # 1,000,001 edge lines, 11.8 MB
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "degree-set", "--in", str(doc))
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (0, "degree set: 1,1000\nconnected: true\n")
+    assert elapsed < 1.5
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "degree-set", "--in", str(doc))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, "degree set: 1,1000\nconnected: true\n")
+    assert peak < 4 * 2**20
 
 
 def test_enumerate_lists_connected_degree_sets(capsys):
@@ -335,6 +404,14 @@ def test_a_command_loads_only_the_modules_it_calls():
     assert out[1].split() == ["0", "sdegree", "sdegree.bipartite", "sdegree.cli"]
 
 
+def test_degree_set_loads_only_textio_and_core(tmp_path):
+    doc = tmp_path / "g.sbg"
+    doc.write_text("sbg 1 2\nu1 v1 +\nu1 v2 -\n")
+    out = _loaded_by(["degree-set", "--in", str(doc)])
+    assert out[:2] == ["degree set: -1,0,1", "connected: true"]
+    assert out[2].split() == ["0", "sdegree", "sdegree.cli", "sdegree.core", "sdegree.textio"]
+
+
 def test_a_size_limit_exits_2_without_probing_for_its_module():
     out = _loaded_by(["check-seq", "--method", "oracle", "--seq", "1,1,1,1,1,1,1,1"])
     assert out[0] == "error: length 8 exceeds the oracle guard n <= 7"
@@ -388,6 +465,7 @@ CLI_LIBRARY_NAMES = [
     "emit_graph",
     "emit_dot",
     "parse_graph",
+    "read_degree_set",
     "signed_degree_set",
     "is_connected",
     "is_s_graphical_branching",

@@ -1,5 +1,7 @@
+import io
 import re
 import tracemalloc
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,11 @@ from sdegree import (
     SignedBipartiteGraph,
     emit_dot,
     emit_graph,
+    is_connected,
     parse_graph,
+    read_degree_set,
     realize_set,
+    signed_degree_set,
 )
 from sdegree import textio
 
@@ -293,3 +298,133 @@ def test_bulk_parse_refuses_a_repeated_edge_across_chunks(monkeypatch):
     monkeypatch.setattr(textio, "_CHUNK", 8)
     text = "sbg 2 2\nu1 v1 +\nu1 v2 -\nu2 v1 +\nu1 v1 -\n"
     assert _outcome(parse_graph, text) == ("error", "line 5: duplicate edge u1 v1", 5)
+
+
+@pytest.mark.parametrize("text", ["sbg 1 1\nu1 v1 +\nu1 v01 -\n", "sbg 1 1\nu1 v1 +\nu1 v\u0661 -\n"])
+def test_other_spellings_of_an_index_are_not_canonical(text):
+    # int() reads "01" and the Arabic-Indic "\u0661" as 1, so a reader keyed
+    # by tokens would count two edges here; both readers take the line parser
+    assert textio._CANONICAL_RE.fullmatch(text) is None
+    for read in (parse_graph, lambda text: read_degree_set(io.StringIO(text))):
+        with pytest.raises(ParseError, match="^line 3: duplicate edge u1 v1$"):
+            read(text)
+
+
+class _Pipe(io.StringIO):
+    """A source that cannot seek back, as stdin from a pipe."""
+
+    def seekable(self):
+        return False
+
+
+def _reference_degree_set(text):
+    g = _reference_parse(text)
+    return signed_degree_set(g), is_connected(g)
+
+
+def _answer(read, text):
+    try:
+        return "answer", read(text)
+    except ValueError as exc:  # ParseError, or the graph's own refusal
+        return "error", type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("chunk", [1, 8, 29])
+@settings(max_examples=40)
+@given(g=bipartite_graphs(with_labels=True))
+def test_read_degree_set_answers_emitted_documents_without_a_graph(chunk, g):
+    text = emit_graph(g)
+    expected = signed_degree_set(g), is_connected(g)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(textio, "_CHUNK", chunk)
+        patch.setattr(textio, "_parse_lines", None)  # calling either would raise
+        patch.setattr(textio, "parse_graph", None)
+        assert read_degree_set(io.StringIO(text)) == expected
+        assert read_degree_set(_Pipe(text)) == expected
+
+
+def _scramble(draw, text, kind):
+    """``text`` with its edge lines reordered: whole U runs (``"rows"``), or
+    any lines, so that a U vertex's lines may come apart (``"lines"``)."""
+    lines = text.splitlines(keepends=True)
+    edges = [i for i, line in enumerate(lines) if line.startswith("u")]
+    if kind == "rows":
+        runs = [list(run) for _, run in groupby((lines[i] for i in edges), key=lambda line: line.split()[0])]
+        order = draw(st.permutations(runs))
+        moved = [line for run in order for line in draw(st.permutations(run))]
+    else:
+        moved = draw(st.permutations([lines[i] for i in edges]))
+    for i, line in zip(edges, moved):
+        lines[i] = line
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("kind", [None, "rows", "lines", *_MUTATIONS])
+@settings(max_examples=60)
+@given(g=bipartite_graphs(with_labels=True), chunk=st.sampled_from([1, 8, 29, 1 << 15]), data=st.data())
+def test_read_degree_set_matches_the_graph_on_any_document(kind, g, chunk, data):
+    """An emitted document, reordered or mutated by ``kind`` and then by up
+    to two more mutations: the reader gives the degree set and connectivity
+    of the line parser's graph, or the same error, from either source."""
+    kinds = ([kind] if kind else []) + data.draw(st.lists(st.sampled_from(_MUTATIONS), max_size=2))
+    text = emit_graph(g)
+    for each in kinds:
+        text = _scramble(data.draw, text, each) if each in ("rows", "lines") else _mutate(data.draw, text, each)
+    expected = _answer(_reference_degree_set, text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(textio, "_CHUNK", chunk)
+        assert _answer(lambda text: read_degree_set(io.StringIO(text)), text) == expected
+        assert _answer(lambda text: read_degree_set(_Pipe(text)), text) == expected
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("sbg 2 1\nu3 v1 +\n", "line 2: u3 out of range 1..2"),
+        ("sbg 1 2\nu1 v3 +\n", "line 2: v3 out of range 1..2"),
+        ("sbg 1 1\nu1 v1 +\n# u2 X_1\n", "line 3: u2 out of range 1..1"),
+        ("sbg 1 1\nu1 v1 +\n# v2 Y_1\n", "line 3: v2 out of range 1..1"),
+        ("sbg 1 2\nu1 v2 +\nu1 v1 -\nu1 v2 -\n", "line 4: duplicate edge u1 v2"),
+    ],
+)
+def test_read_degree_set_refuses_what_the_graph_refuses(text, message):
+    # canonical in form, but not a graph: the line parser names the line
+    assert textio._CANONICAL_RE.fullmatch(text) is not None
+    with pytest.raises(ParseError) as excinfo:
+        read_degree_set(io.StringIO(text))
+    assert str(excinfo.value) == message
+
+
+def test_read_degree_set_of_no_vertex_is_the_graph_error():
+    with pytest.raises(ValueError, match="^degree set of an empty graph is undefined$"):
+        read_degree_set(io.StringIO("sbg 0 0\n"))
+
+
+def test_read_degree_set_reads_from_where_the_source_stands():
+    source = io.StringIO("preamble\nsbg 1 2\nu1 v1 +\nu1 v1 -\n")
+    source.readline()
+    with pytest.raises(ParseError, match="^line 3: duplicate edge u1 v1$"):
+        read_degree_set(source)  # the streaming pass falls back to a whole read
+
+
+def test_read_degree_set_reports_undecodable_bytes_as_a_whole_read_does(tmp_path, monkeypatch):
+    monkeypatch.setattr(textio, "_CHUNK", 64)
+    doc = tmp_path / "g.sbg"
+    doc.write_bytes(emit_graph(realize_set({3, 40}).graph).encode() + b"# u1 \xff\n")
+    with open(doc, encoding="utf-8") as source, pytest.raises(UnicodeDecodeError) as whole:
+        source.read()
+    with open(doc, encoding="utf-8") as source, pytest.raises(UnicodeDecodeError) as streamed:
+        read_degree_set(source)
+    assert str(streamed.value) == str(whole.value)
+
+
+def test_read_degree_set_allocates_nothing_per_declared_vertex():
+    source = io.StringIO("sbg 4000000 1\nu1 v1 +\n")
+    tracemalloc.start()
+    try:
+        answer = read_degree_set(source)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert answer == (frozenset({0, 1}), False)
+    assert peak < 2**20
