@@ -20,6 +20,8 @@ Importing the package loads none of its modules.  Each public name loads its
 module on first use (PEP 562), so a process pays only for what it touches.
 """
 
+import sys
+
 __version__ = "0.1.0"
 
 # Each public name, with the module that defines it: the one name table, which
@@ -81,6 +83,12 @@ __getattr__ = _lazy_getattr(globals(), __name__, _MODULE_OF)
 
 class _SizeLimit(ValueError):
     """A request past a size limit; the CLI exits with 2 on it."""
+
+
+def _sizable(value: int, what: str) -> None:
+    # Python cannot make a list or range longer than sys.maxsize.
+    if abs(value) > sys.maxsize:
+        raise _SizeLimit(f"{what} {value} exceeds the size limit {sys.maxsize}")
 
 
 def _integral(x) -> bool:

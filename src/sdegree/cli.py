@@ -18,7 +18,7 @@ import argparse
 import re
 import sys
 
-from . import _MODULE_OF, _SizeLimit, _lazy_getattr
+from . import _MODULE_OF, _SizeLimit, _lazy_getattr, _sizable
 
 __all__ = ["cli_main", "main"]
 
@@ -28,12 +28,6 @@ _lib = sys.modules[__name__]  # the commands call the library through this
 
 class _UsageError(Exception):
     pass
-
-
-def _sizable(value: int, what: str) -> None:
-    # Python cannot make a list or range longer than sys.maxsize.
-    if abs(value) > sys.maxsize:
-        raise _SizeLimit(f"{what} {value} exceeds the size limit {sys.maxsize}")
 
 
 class _ArgumentParser(argparse.ArgumentParser):

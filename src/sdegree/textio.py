@@ -25,10 +25,9 @@ one, which ``int`` reads as 1, are not canonical.  Canonical edge lines
 are split into tokens in one place, a chunk of whole lines of about
 ``_CHUNK`` characters at a time.
 
-``parse_graph`` reads a canonical document in bulk: one regular-expression
-match checks the whole text, then each distinct vertex token of the split
-lines is converted to an index once, and the edge dict is filled from the
-tokens by ``zip`` and ``map``.
+``parse_graph`` is the line parser, the one function that turns text into a
+graph and the one source of ``ParseError`` messages: it reads any document,
+canonical or not, one line at a time, and holds every line and edge at once.
 
 ``read_degree_set`` answers what the ``degree-set`` command asks, the signed
 degree set and connectivity of a document's graph, from a file in one pass,
@@ -41,16 +40,15 @@ memory.  A source that cannot seek back, such as stdin from a pipe, is
 read whole first.
 
 Any other text (other spacing, CRLF line ends, comments or labels between
-edges, a missing final newline, a U vertex whose lines are not adjacent,
-for the reader) and any canonical text the graph refuses (an index or label
-out of range, a duplicate edge) goes to the line-by-line parser, the one
-source of ``ParseError`` messages, and the reader answers from its graph.
+edges, a missing final newline, a U vertex whose lines are not adjacent)
+and any canonical text the graph refuses (an index or label out of range, a
+duplicate edge) goes to ``parse_graph``, and the reader answers from its
+graph.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from functools import partial
@@ -58,7 +56,7 @@ from itertools import chain, compress, count, groupby, islice
 from operator import itemgetter, ne
 from typing import TextIO
 
-from . import _SizeLimit
+from . import _sizable
 from .core import Sign, SignedBipartiteGraph, degree_vectors, is_connected, signed_degree_set
 
 __all__ = ["ParseError", "emit_graph", "parse_graph", "emit_dot", "read_degree_set"]
@@ -84,13 +82,11 @@ _CANONICAL_EDGES = rf"(?:u{_INDEX} v{_INDEX} [+-]\n)*+"
 _CANONICAL_RE = re.compile(rf"sbg {_SIZE} {_SIZE}\n({_CANONICAL_EDGES})((?:# [uv]{_INDEX} \S++\n)*+)")
 _CANONICAL_EDGES_RE = re.compile(_CANONICAL_EDGES)
 _CANONICAL_LABEL_RE = re.compile(rf"# ([uv])({_INDEX}) (\S++)\n")
-_SIGN_OF = {"+": Sign.POSITIVE, "-": Sign.NEGATIVE}
 _DIGITS = itemgetter(slice(1, None))  # of a u<i> or v<j> token
 _IS_PLUS = bytes.maketrans(b"+-", b"\1\0")  # a string of signs, encoded, to compress's selectors
 # Characters of canonical edge lines split at once (rounded up to whole
 # lines): enough to amortise each step, few enough that the tokens stay small
-# next to the edge dict, or next to the reader's per-vertex tables.  Must be
-# at least 1.
+# next to the reader's per-vertex tables.  Must be at least 1.
 _CHUNK = 1 << 15
 
 
@@ -207,43 +203,50 @@ def parse_graph(text: str) -> SignedBipartiteGraph:
     Comment lines carrying block labels are restored; other comments and
     blank lines are ignored.
     """
-    doc = _CANONICAL_RE.fullmatch(text)
-    if doc is not None:
-        edge_span, label_span = doc.span(3), doc.span(4)
-        try:
-            edges = _canonical_edges(text, *edge_span)
-            if edges is not None:
-                labels = {
-                    (part, int(idx) - 1): tag
-                    for part, idx, tag in map(re.Match.groups, _CANONICAL_LABEL_RE.finditer(text, *label_span))
-                }
-                return SignedBipartiteGraph(int(doc[1]), int(doc[2]), edges, labels)
-        except ValueError:  # the graph refused an index; the line parser says which line
-            pass
-    return _parse_lines(text)
-
-
-def _canonical_edges(text: str, pos: int, end: int) -> dict[tuple[int, int], Sign] | None:
-    """The edges of the canonical edge lines in text[pos:end], or None when
-    a line repeats an edge.  The lines are split by ``_split_edge_lines`` a
-    chunk at a time, so the tokens held at once stay bounded however long
-    the document is, and each distinct u<i> or v<j> token becomes an index
-    once."""
+    p = q = None
     edges: dict[tuple[int, int], Sign] = {}
-    index: dict[str, int] = {}  # "u3" -> 2 and "v3" -> 2
-    lines = 0
-    for chunk in _text_chunks(text, pos, end):
-        us, vs, signs, _ = _split_edge_lines(chunk)
-        index.update({token: int(token[1:]) - 1 for token in set(us).union(vs).difference(index)})
-        keys = zip(map(index.__getitem__, us), map(index.__getitem__, vs))
-        edges.update(zip(keys, map(_SIGN_OF.__getitem__, signs)))
-        lines += len(signs)
-    return edges if len(edges) == lines else None
+    label_lines: list[tuple[int, str, int, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            m = _LABEL_RE.fullmatch(line)
+            if m:
+                label_lines.append((lineno, m[1], int(m[2]), m[3]))
+            continue
+        if p is None:
+            m = _HEADER_RE.fullmatch(line)
+            if m is None:
+                raise ParseError(lineno, f"expected header 'sbg <p> <q>', got {raw!r}")
+            p, q = int(m[1]), int(m[2])
+            continue
+        m = _EDGE_RE.fullmatch(line)
+        if m is None:
+            raise ParseError(lineno, f"expected edge 'u<i> v<j> <+|->', got {raw!r}")
+        u, v = int(m[1]) - 1, int(m[2]) - 1
+        if not 0 <= u < p:
+            raise ParseError(lineno, f"u{u + 1} out of range 1..{p}")
+        if not 0 <= v < q:
+            raise ParseError(lineno, f"v{v + 1} out of range 1..{q}")
+        if (u, v) in edges:
+            raise ParseError(lineno, f"duplicate edge u{u + 1} v{v + 1}")
+        edges[(u, v)] = Sign.POSITIVE if m[3] == "+" else Sign.NEGATIVE
+    if p is None:
+        raise ParseError(1, "missing header 'sbg <p> <q>'")
+    labels: dict[tuple[str, int], str] = {}
+    for lineno, part, idx, tag in label_lines:
+        size = p if part == "u" else q
+        if not 1 <= idx <= size:
+            raise ParseError(lineno, f"{part}{idx} out of range 1..{size}")
+        labels[(part, idx - 1)] = tag
+    return SignedBipartiteGraph(p, q, edges, labels)
 
 
-def _text_chunks(text: str, pos: int, end: int) -> Iterator[str]:
-    """text[pos:end] in pieces of whole lines, each about ``_CHUNK``
-    characters or one line, whichever is longer."""
+def _text_chunks(text: str) -> Iterator[str]:
+    """text in pieces of whole lines, each about ``_CHUNK`` characters or one
+    line, whichever is longer."""
+    pos, end = 0, len(text)
     while pos < end:
         stop = text.find("\n", min(pos + _CHUNK, end) - 1, end) + 1 or end
         yield text[pos:stop]
@@ -284,7 +287,7 @@ def read_degree_set(source: TextIO) -> tuple[frozenset[int], bool]:
         chunks = _file_chunks(source)
     else:
         text = source.read()
-        chunks = _text_chunks(text, 0, len(text))
+        chunks = _text_chunks(text)
     try:
         answer = _stream_degree_set(chunks)
     except ValueError:  # undecodable bytes, or a number too long for int():
@@ -294,18 +297,13 @@ def read_degree_set(source: TextIO) -> tuple[frozenset[int], bool]:
             source.seek(start)
             text = source.read()
         g = parse_graph(text)
-        _sizable(g.p, g.q)
+        for size in (g.p, g.q):
+            _sizable(size, "part size")
         return signed_degree_set(g), is_connected(g)
     p, q, degrees, connected = answer
-    _sizable(p, q)
+    for size in (p, q):
+        _sizable(size, "part size")
     return degrees, connected
-
-
-def _sizable(*sizes: int) -> None:
-    # Python cannot make a list or range longer than sys.maxsize.
-    for size in sizes:
-        if size > sys.maxsize:
-            raise _SizeLimit(f"part size {size} exceeds the size limit {sys.maxsize}")
 
 
 def _stream_degree_set(chunks: Iterator[str]) -> tuple[int, int, frozenset[int], bool] | None:
@@ -399,44 +397,3 @@ def _stream_degree_set(chunks: Iterator[str]) -> tuple[int, int, frozenset[int],
     else:
         connected = components == 1
     return p, q, frozenset(degrees), connected
-
-
-def _parse_lines(text: str) -> SignedBipartiteGraph:
-    p = q = None
-    edges: dict[tuple[int, int], Sign] = {}
-    label_lines: list[tuple[int, str, int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            m = _LABEL_RE.fullmatch(line)
-            if m:
-                label_lines.append((lineno, m[1], int(m[2]), m[3]))
-            continue
-        if p is None:
-            m = _HEADER_RE.fullmatch(line)
-            if m is None:
-                raise ParseError(lineno, f"expected header 'sbg <p> <q>', got {raw!r}")
-            p, q = int(m[1]), int(m[2])
-            continue
-        m = _EDGE_RE.fullmatch(line)
-        if m is None:
-            raise ParseError(lineno, f"expected edge 'u<i> v<j> <+|->', got {raw!r}")
-        u, v = int(m[1]) - 1, int(m[2]) - 1
-        if not 0 <= u < p:
-            raise ParseError(lineno, f"u{u + 1} out of range 1..{p}")
-        if not 0 <= v < q:
-            raise ParseError(lineno, f"v{v + 1} out of range 1..{q}")
-        if (u, v) in edges:
-            raise ParseError(lineno, f"duplicate edge u{u + 1} v{v + 1}")
-        edges[(u, v)] = Sign.POSITIVE if m[3] == "+" else Sign.NEGATIVE
-    if p is None:
-        raise ParseError(1, "missing header 'sbg <p> <q>'")
-    labels: dict[tuple[str, int], str] = {}
-    for lineno, part, idx, tag in label_lines:
-        size = p if part == "u" else q
-        if not 1 <= idx <= size:
-            raise ParseError(lineno, f"{part}{idx} out of range 1..{size}")
-        labels[(part, idx - 1)] = tag
-    return SignedBipartiteGraph(p, q, edges, labels)

@@ -84,6 +84,7 @@ def test_parse_allows_edgeless_graphs():
         ("sbg 2 2\nu1 v3 +\n", 2, "v3 out of range"),
         ("sbg 2 2\nu1 v1 +\nu1 v1 -\n", 3, "duplicate edge"),
         ("sbg 1 1\n# u2 X_1\n", 2, "u2 out of range"),
+        ("sbg 2 2\nu1 v1 +\nu1 v2 -\nu2 v1 +\nu1 v1 -\n", 5, "duplicate edge u1 v1"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, lineno, fragment):
@@ -169,14 +170,8 @@ def test_parse_allocates_nothing_per_declared_vertex():
     assert peak < 2**20
 
 
-def test_canonical_documents_skip_the_line_parser(monkeypatch):
-    doc = emit_graph(realize_set({2, 0, -1}).graph)
-    monkeypatch.setattr(textio, "_parse_lines", None)  # calling it would raise
-    assert emit_graph(parse_graph(doc)) == doc
-
-
-# The line parser as it stood before the canonical bulk path: the reference
-# that parse_graph must agree with on every input, result or error.
+# A frozen copy of the line parser: the reference that parse_graph, and the
+# degree-set reader, must agree with on every input, result or error.
 _HEADER = re.compile(r"sbg\s+(\d+)\s+(\d+)")
 _EDGE = re.compile(r"u(\d+)\s+v(\d+)\s+([+-])")
 _LABEL = re.compile(r"#\s+([uv])(\d+)\s+(\S+)")
@@ -269,35 +264,15 @@ def _mutate(draw, text, kind):
 @pytest.mark.parametrize("kind", [None, *_MUTATIONS])
 @settings(max_examples=60)
 @given(g=bipartite_graphs(with_labels=True), data=st.data())
-def test_bulk_parse_matches_the_line_parser(kind, g, data):
+def test_parse_graph_matches_the_frozen_reference(kind, g, data):
     """An emitted document, mutated by ``kind`` and then by up to two more
-    mutations: both parsers return equal graphs and labels, or the same
-    ParseError."""
+    mutations: parse_graph and ``_reference_parse`` return equal graphs and
+    labels, or the same ParseError."""
     kinds = ([kind] if kind else []) + data.draw(st.lists(st.sampled_from(_MUTATIONS), max_size=2))
     text = emit_graph(g)
     for each in kinds:
         text = _mutate(data.draw, text, each)
     assert _outcome(parse_graph, text) == _outcome(_reference_parse, text)
-
-
-@pytest.mark.parametrize("chunk", [1, 8, 29])
-@settings(max_examples=40)
-@given(g=bipartite_graphs(max_side=7, with_labels=True))
-def test_bulk_parse_reads_whole_lines_at_any_chunk_size(chunk, g):
-    """With chunks far shorter than a line, or ending mid-line, the bulk
-    path still splits only at line ends and returns the line parser's graph."""
-    text = emit_graph(g)
-    expected = _outcome(_reference_parse, text)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(textio, "_CHUNK", chunk)
-        patch.setattr(textio, "_parse_lines", None)  # the bulk path must answer
-        assert _outcome(parse_graph, text) == expected
-
-
-def test_bulk_parse_refuses_a_repeated_edge_across_chunks(monkeypatch):
-    monkeypatch.setattr(textio, "_CHUNK", 8)
-    text = "sbg 2 2\nu1 v1 +\nu1 v2 -\nu2 v1 +\nu1 v1 -\n"
-    assert _outcome(parse_graph, text) == ("error", "line 5: duplicate edge u1 v1", 5)
 
 
 @pytest.mark.parametrize("text", ["sbg 1 1\nu1 v1 +\nu1 v01 -\n", "sbg 1 1\nu1 v1 +\nu1 v\u0661 -\n"])
@@ -337,8 +312,7 @@ def test_read_degree_set_answers_emitted_documents_without_a_graph(chunk, g):
     expected = signed_degree_set(g), is_connected(g)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(textio, "_CHUNK", chunk)
-        patch.setattr(textio, "_parse_lines", None)  # calling either would raise
-        patch.setattr(textio, "parse_graph", None)
+        patch.setattr(textio, "parse_graph", None)  # calling it would raise
         assert read_degree_set(io.StringIO(text)) == expected
         assert read_degree_set(_Pipe(text)) == expected
 
