@@ -12,9 +12,10 @@ Standard sequences shrink by a Havel-Hakimi-style step: drop the head d1,
 subtract 1 from the next d1+s entries, keep the middle, add 1 to the last s,
 for a shift parameter s.  A depth-first search over every admissible shift
 decides realizability; so does following the single pivot-chosen shift of
-choose_m.  Both deciders are loops: the search's memo of failed states lives
-for one call, so no state outlives the call and no sequence length meets
-Python's recursion limit.
+choose_m.  Both deciders are loops, so no sequence length meets Python's
+recursion limit.  A call checks its input for the integer rule once; a step
+turns ints into ints, so each child is only sorted in place, oriented and
+classified.  The search's memo holds failed states only, for one call.
 
 Each reduction step of a decider is one call of reduce_hakimi.  It checks
 the order of its argument by comparing it with its own non-increasing sort,
@@ -23,7 +24,7 @@ the two shifted spans with list comprehensions.  choose_m bisects for its
 pivot: the qualifying shifts of a non-increasing sequence form a prefix of
 the shift range.  Orientation and the pivot run as private helpers on plain
 lists, so no state object is built per step; the public normalize_standard
-and choose_m are the same helpers behind their own argument handling.
+and choose_m are the same helpers behind the integer check.
 
 The normal forms Standard, AllZero and NotStandard are named tuples: each
 compares equal to the plain tuple of its fields, so ``AllZero() == ()`` and,
@@ -67,19 +68,11 @@ class NotStandard(NamedTuple):
     reason: str
 
 
-def _normal(seq: Iterable[int]) -> tuple[list[int], bool, str | None]:
-    # Sort non-increasing, orient, classify.  Returns the oriented list
-    # (empty when every entry is 0), whether it was negated, and the reason
-    # it is not standard, or None when it is.  An int total means that
-    # every entry is an int or a bool, so only other input pays for the
-    # entry check.
-    vals = list(seq)
-    try:
-        total = sum(vals)
-    except TypeError:  # None, strings
-        total = None
-    if type(total) is not int:
-        total = sum(vals := _integers(vals))
+def _classified(vals: list[int]) -> tuple[list[int], bool, str | None]:
+    # Sort vals, a list of ints the caller hands over, non-increasing in
+    # place, orient, classify.  Returns the oriented list (empty when every
+    # entry is 0), whether it was negated, and the reason it is not
+    # standard, or None when it is.
     vals.sort(reverse=True)
     if not vals or (vals[0] == 0 and vals[-1] == 0):
         return [], False, None
@@ -87,12 +80,17 @@ def _normal(seq: Iterable[int]) -> tuple[list[int], bool, str | None]:
     if negated:
         vals = [-x for x in reversed(vals)]
     # the head is now positive and at least the tail's magnitude
-    if total % 2:
+    if sum(vals) % 2:
         return vals, negated, "sum of entries is odd"
     n = len(vals)
     if vals[0] >= n:
         return vals, negated, f"an entry has magnitude {vals[0]}, not below the length {n}"
     return vals, negated, None
+
+
+def _normal(seq: Iterable[int]) -> tuple[list[int], bool, str | None]:
+    # the one integer check of a call; _classified gets a fresh list
+    return _classified(_integers(seq))
 
 
 def _pivot(vals: Sequence[int]) -> int:
@@ -176,24 +174,22 @@ def is_s_graphical_branching(seq: Iterable[int]) -> bool:
     if reason is not None:
         return False
     # Depth-first over normalised states, each stacked with the next shift
-    # to try; a state already searched in this call failed, because a
-    # success ends the search.  The stack holds the very tuples in seen, so
-    # a state on the search path is stored once.
-    state = tuple(vals)
-    seen = {state}
-    stack = [(state, 0)]
+    # to try.  A child is shorter than every stacked state, its ancestors, so
+    # it can only repeat a state whose every shift was tried, which failed
+    # (a success ends the search): the memo holds those states alone.
+    failed: set[tuple[int, ...]] = set()
+    stack = [(vals, 0)]
     while stack:
         state, s = stack.pop()
         if s < (len(state) - 1 - state[0]) // 2:
             stack.append((state, s + 1))
-        child, _, reason = _normal(reduce_hakimi(state, s))
+        else:
+            failed.add(tuple(state))
+        child, _, reason = _classified(reduce_hakimi(state, s))
         if not child:
             return True
-        if reason is None:
-            state = tuple(child)
-            if state not in seen:
-                seen.add(state)
-                stack.append((state, 0))
+        if reason is None and not (failed and tuple(child) in failed):
+            stack.append((child, 0))
     return False
 
 
@@ -202,5 +198,5 @@ def is_s_graphical_deterministic(seq: Iterable[int]) -> bool:
     pivot-chosen shift at every step."""
     vals, _, reason = _normal(seq)
     while vals and reason is None:
-        vals, _, reason = _normal(reduce_hakimi(vals, _pivot(vals)))
+        vals, _, reason = _classified(reduce_hakimi(vals, _pivot(vals)))
     return not vals

@@ -437,6 +437,7 @@ INTEGER_ENTRY_POINTS = [
     ("write_realization", sdegree.write_realization, [[2, 0, -1], [-4, -1]]),
     ("is_s_graphical_deterministic", sdegree.is_s_graphical_deterministic, [[2, 2, 2], [2, 2]]),
     ("is_s_graphical_branching", sdegree.is_s_graphical_branching, [[2, 2, 2], [3, 1]]),
+    ("normalize_standard", sdegree.normalize_standard, [[2, 2, 2], [2, 2]]),
     ("is_bipartite_s_graphical", lambda xs: sdegree.is_bipartite_s_graphical(xs, [1, 1]), [[1, 1], [2, 1]]),
     ("gale_ryser", lambda xs: sdegree.gale_ryser(xs, [1, 1]), [[1, 1], [2, 1]]),
     ("choose_m", sdegree.choose_m, [[1, 1, 1, 0, 0, 0], [1, 1, 1, 1, 1, 1]]),

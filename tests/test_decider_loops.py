@@ -6,9 +6,12 @@ same verdict, at sizes beyond the oracles' range.  The pair decider is a
 closed form, held the same way to the paper's pair reduction composed from
 reduce_pair (conftest.pair_reference).  The step functions are in turn held
 to plain elementwise versions of themselves: same result, or same exception
-type and message."""
+type and message.  The deciders also make the very reduce_hakimi calls of
+their references, in the same order, and no entry point changes a list it
+is handed."""
 
 import itertools
+import sys
 from itertools import chain, islice, repeat
 from operator import add, ge
 
@@ -111,6 +114,67 @@ def pairs(draw, max_side=25):
 def test_sequence_deciders_match_the_step_composition(seq):
     assert is_s_graphical_branching(seq) == branching_reference(seq)
     assert is_s_graphical_deterministic(seq) == deterministic_reference(seq)
+
+
+@st.composite
+def even_sum_sequences(draw, max_n=14):
+    """Entries drawn uniformly from two or three levels, each uniform below
+    the length in magnitude, one entry moved by 1 when the sum is odd.
+    Blocks of equal entries make false sequences on which the search
+    backtracks and meets failed states again."""
+    n = draw(st.integers(1, max_n))
+    levels = draw(st.lists(st.integers(1 - n, n - 1), min_size=2, max_size=3))
+    seq = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    if sum(seq) % 2:
+        seq[0] += 1 if seq[0] < n - 1 else -1
+    return seq
+
+
+def _steps(module, decide, seq):
+    # The verdict and every reduce_hakimi(seq, s) call that decide makes
+    # through module's global name, as (list(seq), s)
+    calls = []
+    step = module.reduce_hakimi
+
+    def recorded(vals, s):
+        calls.append((list(vals), s))
+        return step(vals, s)
+
+    module.reduce_hakimi = recorded
+    try:
+        return decide(seq), calls
+    finally:
+        module.reduce_hakimi = step
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sequences(), even_sum_sequences()))
+@example([2, 2, 2, -2, -2])
+@example([7] * 6 + [-6] * 8)  # 283 steps, 109 of them to a failed state
+def test_sequence_deciders_make_the_reference_steps(seq):
+    here = sys.modules[__name__]
+    for decide, reference in (
+        (is_s_graphical_branching, branching_reference),
+        (is_s_graphical_deterministic, deterministic_reference),
+    ):
+        assert _steps(sgraphical, decide, seq) == _steps(here, reference, seq)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sequences(max_n=20), even_sum_sequences()), st.integers(-1, 4))
+def test_no_entry_point_changes_its_list_argument(seq, s):
+    # the deciders sort lists of their own in place, never the caller's
+    for call in (
+        is_s_graphical_branching,
+        is_s_graphical_deterministic,
+        normalize_standard,
+        choose_m,
+        lambda vals: reduce_hakimi(vals, s),
+    ):
+        for given_seq in (seq, sorted(seq, reverse=True)):
+            arg = list(given_seq)
+            _outcome(call, arg)
+            assert arg == given_seq, call
 
 
 @settings(max_examples=300, deadline=None)

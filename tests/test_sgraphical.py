@@ -45,6 +45,14 @@ class TestNormalizeStandard:
         assert "magnitude 2" in norm.reason
         assert isinstance(normalize_standard([3, 1]), NotStandard)
 
+    @given(st.lists(st.integers(-1, 1), max_size=8))
+    def test_bool_and_integral_float_entries_read_as_ints(self, seq):
+        bools = [bool(x) if x >= 0 else x for x in seq]
+        norm = normalize_standard(seq)
+        assert normalize_standard(bools) == normalize_standard([float(x) for x in seq]) == norm
+        if isinstance(norm, Standard):
+            assert {type(x) for x in normalize_standard(bools).values} == {int}
+
     @given(st.lists(st.integers(-8, 8), min_size=1, max_size=8))
     def test_standard_output_is_standard(self, seq):
         norm = normalize_standard(seq)
